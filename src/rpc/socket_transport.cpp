@@ -19,6 +19,14 @@ std::int64_t now_ms() {
       .count();
 }
 
+// A blocking verb is its issue_* twin waited out: blocks until the reply
+// lands and rethrows the stored error, so both verb sets share one wire path.
+Transport::OpHandle complete(Transport::OpHandle op) {
+  op.wait();
+  op.rethrow();
+  return op;
+}
+
 }  // namespace
 
 void SocketTransport::add_node(const std::string& node, Socket socket) {
@@ -631,42 +639,19 @@ std::size_t SocketTransport::prune_tile_workers() {
   return pruned;
 }
 
-std::uint64_t SocketTransport::put(std::uint64_t request, Node& node,
-                                   const runtime::MessageRecord& meta, std::uint64_t slot,
-                                   const dnn::Tensor& tensor) {
-  WireWriter w;
-  w.u64(request);
-  w.u64(slot);
-  const Envelope env{meta, encode_tensor(tensor)};
-  payload_bytes_sent_.fetch_add(env.payload.size(), std::memory_order_relaxed);
-  encode_envelope(w, env);
-  call(node, MsgKind::kPut, w.buffer());
-  return env.payload.size();
-}
-
 void SocketTransport::seed(std::uint64_t request, const std::string& node_name,
                            std::uint64_t slot, const dnn::Tensor& tensor) {
-  Node* node = find(node_name);
-  if (!node) return;  // node hosted in-process: the coordinator already has it
-  runtime::MessageRecord meta;
-  meta.from_node = node_name;
-  meta.to_node = node_name;
-  meta.payload = "seed";
-  put(request, *node, meta, slot, tensor);
+  if (!find(node_name)) return;  // node hosted in-process: the coordinator already has it
+  complete(issue_seed(request, node_name, slot, tensor));
 }
 
 std::optional<dnn::Tensor> SocketTransport::send(std::uint64_t request,
                                                  const runtime::MessageRecord& meta,
                                                  std::uint64_t slot,
                                                  const dnn::Tensor& tensor) {
-  Node* node = find(meta.to_node);
-  if (!node || slot == kNoSlot) return std::nullopt;  // destination hosted in-process
-  const std::uint64_t bytes = put(request, *node, meta, slot, tensor);
-  // The producer is itself a remote node, so the coordinator just moved bytes
-  // it neither produced nor consumes: that is the star topology's relay tax.
-  if (find(meta.from_node) != nullptr)
-    relay_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  replicate(request, meta, slot, tensor);
+  if (!find(meta.to_node) || slot == kNoSlot)
+    return std::nullopt;  // destination hosted in-process
+  complete(issue_send(request, meta, slot, tensor));
   return std::nullopt;
 }
 
@@ -781,35 +766,22 @@ bool SocketTransport::replica_push(std::uint64_t request, const runtime::Message
 
 bool SocketTransport::run_layer(std::uint64_t request, const std::string& node_name,
                                 dnn::LayerId layer) {
-  Node* node = find(node_name);
-  if (!node) return false;
-  WireWriter w;
-  w.u64(request);
-  w.u64(layer);
-  call(*node, MsgKind::kRunLayer, w.buffer());
+  OpHandle op = issue_run_layer(request, node_name, layer);
+  if (!op) return false;
+  complete(std::move(op));
   return true;
 }
 
 bool SocketTransport::run_stack(std::uint64_t request, const std::string& node_name) {
-  Node* node = find(node_name);
-  if (!node) return false;
-  WireWriter w;
-  w.u64(request);
-  call(*node, MsgKind::kRunStack, w.buffer());
+  OpHandle op = issue_run_stack(request, node_name);
+  if (!op) return false;
+  complete(std::move(op));
   return true;
 }
 
 dnn::Tensor SocketTransport::fetch(std::uint64_t request, const std::string& node_name,
                                    std::uint64_t slot) {
-  Node* node = find(node_name);
-  if (!node)
-    throw TransportError("fetch: node '" + node_name + "' is not attached");
-  WireWriter w;
-  w.u64(request);
-  w.u64(slot);
-  const Frame reply = call(*node, MsgKind::kGet, w.buffer(), MsgKind::kTensor);
-  payload_bytes_fetched_.fetch_add(reply.body.size(), std::memory_order_relaxed);
-  return decode_tensor(std::span<const std::uint8_t>(reply.body));
+  return std::move(*complete(issue_fetch(request, node_name, slot)).tensor());
 }
 
 Transport::OpHandle SocketTransport::issue_seed(std::uint64_t request,
@@ -845,6 +817,8 @@ Transport::OpHandle SocketTransport::issue_send(std::uint64_t request,
   encode_envelope(w, env);
   OpHandle handle = issue_call(*node, MsgKind::kPut, w.buffer(), MsgKind::kOk,
                                /*is_fetch=*/false, env.payload.size());
+  // The producer is itself a remote node, so the coordinator just moved bytes
+  // it neither produced nor consumes: that is the star topology's relay tax.
   if (find(meta.from_node) != nullptr)
     relay_bytes_.fetch_add(env.payload.size(), std::memory_order_relaxed);
   // Buddy replication stays synchronous and best-effort: it rides the buddy's

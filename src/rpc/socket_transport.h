@@ -377,8 +377,6 @@ class SocketTransport final : public Transport {
   // Channel-death recovery: re-establish under bounded backoff (reconnect fn +
   // kConfig replay), then throw TransportError for the interrupted call.
   [[noreturn]] void recover_locked(Node& node, const std::string& error);
-  std::uint64_t put(std::uint64_t request, Node& node, const runtime::MessageRecord& meta,
-                    std::uint64_t slot, const dnn::Tensor& tensor);
   // One peer handshake: kPeerListen on `to`, kConnectPeer on `from`.
   void link_peers(Node& from, Node& to);
   std::string advertised_address(const Node& to) const;

@@ -206,7 +206,7 @@ class Transport {
   // The base implementations run the blocking verb immediately and return an
   // already-completed handle, so InProcessTransport, SerializingLoopback and
   // decorators (FaultInjectionTransport) keep their exact semantics — the
-  // engine's async walk degenerates to the blocking walk on them.
+  // engine's tier walk never parks on them.
 
   // One outstanding issued operation. Completion state is owned by the
   // transport; the handle is a shared view.

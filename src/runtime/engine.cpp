@@ -131,24 +131,21 @@ OnlineEngine::OnlineEngine(const dnn::Network& net, const exec::WeightStore& wei
 
 namespace {
 
-// Shared by begin() (which owns a copy of the input) and infer() (which
-// borrows the caller's tensor for its synchronous run). With `admission`,
-// the per-node kBegin broadcast is issued as pipelined sends instead of
-// awaited (start_async parks on the handles); without, it blocks.
+using Effect = std::function<void(rpc::Transport::OpHandle&)>;
+
+// The per-request state of a fresh request. The per-node kBegin broadcast is
+// issued as pipelined sends (one handle per remote node lands in
+// `admission`), never awaited here: the continuation parks on the handles.
 std::unique_ptr<OnlineEngine::RequestState> make_state(
     const dnn::Network& net, const std::shared_ptr<rpc::Transport>& transport,
-    bool retry_open, std::vector<rpc::Transport::OpHandle>* admission = nullptr) {
+    bool retry_open, std::vector<rpc::Transport::OpHandle>& admission) {
   auto state = std::make_unique<OnlineEngine::RequestState>();
   state->outputs.resize(net.num_layers());
   state->computed.assign(net.num_layers(), false);
   state->sent.assign(net.num_layers() + 1, {false, false, false});
   state->shipped.assign(net.num_layers() + 1, {false, false, false});
-  const auto open = [&] {
-    return admission ? transport->issue_open_request(*admission)
-                     : transport->open_request();
-  };
   try {
-    state->rpc_request = open();
+    state->rpc_request = transport->issue_open_request(admission);
   } catch (const rpc::ChannelDied& died) {
     // A worker killed between requests surfaces here, on the first kBegin to
     // touch it. With the channel re-established and kBegin idempotent, a
@@ -161,25 +158,38 @@ std::unique_ptr<OnlineEngine::RequestState> make_state(
       throw;
     // Handles from the failed issue are dropped: the aborted id got its kEnd,
     // and per-channel FIFO retires the orphaned replies under later traffic.
-    if (admission) admission->clear();
-    state->rpc_request = open();
+    admission.clear();
+    state->rpc_request = transport->issue_open_request(admission);
   }
   state->rpc_guard =
       std::make_unique<OnlineEngine::RpcRequestGuard>(transport, state->rpc_request);
   return state;
 }
 
+// Applies the success effect of every completed op, clears both (parallel)
+// lists, then rethrows the first stored op error, if any.
+void settle(std::vector<rpc::Transport::OpHandle>& ops, std::vector<Effect>& effects) {
+  std::exception_ptr first_error;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    if (ops[i].error()) {
+      if (!first_error) first_error = ops[i].error();
+      continue;
+    }
+    if (effects[i]) effects[i](ops[i]);
+  }
+  ops.clear();
+  effects.clear();
+  if (first_error) std::rethrow_exception(first_error);
+}
+
 }  // namespace
 
-std::unique_ptr<OnlineEngine::RequestState> OnlineEngine::begin(const dnn::Tensor& input) const {
-  if (!(input.shape() == net_.input_shape()))
-    throw std::invalid_argument("OnlineEngine: input shape mismatch");
-  auto state = make_state(net_, transport_, options_.tier_recovery);
-  state->owned_input = input;
-  state->input = &state->owned_input;
-  seed_input(*state);
-  checkpoint(*state, 0);
-  return state;
+bool OnlineEngine::try_recover(RequestState& state, const rpc::ChannelDied& died) const {
+  if (!options_.tier_recovery || state.recovery_attempts >= options_.max_recovery_attempts ||
+      !recover(state, died))
+    return false;
+  ++state.recovery_attempts;
+  return true;
 }
 
 void OnlineEngine::checkpoint(RequestState& state, int next_stage) const {
@@ -202,26 +212,6 @@ void OnlineEngine::checkpoint(RequestState& state, int next_stage) const {
   s.shipped = state.shipped;
   s.vsm_recorded = state.vsm_recorded;
   options_.journal->record(s);
-}
-
-bool OnlineEngine::try_recover(RequestState& state, const rpc::ChannelDied& died) const {
-  if (!options_.tier_recovery || state.recovery_attempts >= options_.max_recovery_attempts ||
-      !recover(state, died))
-    return false;
-  ++state.recovery_attempts;
-  return true;
-}
-
-void OnlineEngine::seed_input(RequestState& state) const {
-  // The raw frame originates on the device node; no inter-node message is
-  // involved, so a remote device tier receives it as a seed, not a send. A
-  // device node dying right here is recoverable on the spot: recover()
-  // re-seeds slot 0 into the fresh incarnation.
-  try {
-    transport_->seed(state.rpc_request, node_of(core::Tier::kDevice), 0, *state.input);
-  } catch (const rpc::ChannelDied& died) {
-    if (!try_recover(state, died)) throw;
-  }
 }
 
 const dnn::Tensor* OnlineEngine::resolve_input(RequestState& state, dnn::LayerId producer,
@@ -414,152 +404,6 @@ void OnlineEngine::run_vsm_stack(RequestState& state) const {
   }
 }
 
-void OnlineEngine::run_tier_pass(RequestState& state, core::Tier tier) const {
-  // Ensures `producer`'s tensor is present at `tier`, shipping it if not.
-  // Recording and shipping are tracked separately: the transcript message is
-  // recorded exactly once (`sent`), but the payload counts as moved
-  // (`shipped`) only after the transport call returns — so when a channel
-  // death interrupts a send, the recovery re-entry re-ships the same boundary
-  // without re-recording it, and the transcript stays a pure function of the
-  // plan.
-  const auto deliver = [&](dnn::LayerId producer, core::Tier to) {
-    const bool is_input = producer == dnn::kNetworkInput;
-    const core::Tier from = is_input ? core::Tier::kDevice
-                                     : assignment_.tier[dnn::Network::vertex_of(producer)];
-    if (from == to) return;
-    const std::size_t slot = is_input ? 0 : producer + 1;
-    const std::size_t to_idx = static_cast<std::size_t>(core::index(to));
-
-    MessageRecord meta;
-    meta.seq = static_cast<std::uint64_t>(state.result.messages.size());
-    meta.from_node = node_of(from);
-    meta.to_node = node_of(to);
-    meta.payload = is_input ? "raw input" : net_.layer(producer).spec.name;
-    meta.from_tier = from;
-    meta.to_tier = to;
-    meta.bytes = is_input ? net_.input_shape().bytes() : net_.lambda_out_bytes(producer);
-    if (!state.sent[slot][to_idx]) {
-      state.sent[slot][to_idx] = true;
-      record(state.result, meta);
-    }
-    if (state.shipped[slot][to_idx]) return;
-
-    // A restored request re-delivering its interrupted tier: the buddy's
-    // replica store is the cheapest source — the buddy pushes its stored copy
-    // peer-to-peer and the standby coordinator never touches the payload.
-    // (Speculative: the dead primary may not have replicated this slot, in
-    // which case the fall-through paths below pay the re-ship.)
-    if (state.restored && transport_->replica_push(state.rpc_request, meta, slot)) {
-      state.shipped[slot][to_idx] = true;
-      return;
-    }
-    // Cheapest path first: a peer channel moves the bytes producer -> consumer
-    // directly and the coordinator never materialises the tensor at all (the
-    // raw input is peer-pushable too — it was seeded into the device node).
-    if (transport_->send_peer(state.rpc_request, meta, slot)) {
-      state.shipped[slot][to_idx] = true;
-      return;
-    }
-    // Relay path: serialise out of the coordinator's canonical copy, fetching
-    // it first if a remote node computed it.
-    const dnn::Tensor& source = is_input ? *state.input : materialize(state, producer);
-    auto wired = transport_->send(state.rpc_request, meta, slot, source);
-    state.shipped[slot][to_idx] = true;
-    // Failover accounting: what a restored request re-ships through the
-    // coordinator is the cost buddy replication exists to avoid.
-    if (state.restored)
-      recovery_bytes_.fetch_add(static_cast<std::uint64_t>(source.shape().bytes()),
-                                std::memory_order_relaxed);
-    if (wired) {
-      if (state.delivered.empty()) state.delivered.resize(net_.num_layers() + 1);
-      state.delivered[slot][to_idx] = std::move(*wired);
-    }
-  };
-
-  // One ascending-id pass: run every pending layer assigned to this stage's
-  // tier *or an earlier one* whose inputs are all available. Prop.-1 allows a
-  // layer to consume a tensor from a cloud-ward tier (bounded only by its most
-  // device-ward input), so such a consumer is not ready at its own tier's
-  // stage; it defers and the cloud stage — where every producer has already
-  // run — catches it. Layer ids are topological, so the single pass per stage
-  // needs no fixpoint loop, and the execution order is a pure function of the
-  // plan: transcripts are identical however stages are threaded and whichever
-  // transport carries the tensors.
-  const auto ready = [&](dnn::LayerId id) {
-    for (const dnn::LayerId in : net_.layer(id).inputs)
-      if (in != dnn::kNetworkInput && !state.computed[in]) return false;
-    return true;
-  };
-
-  for (dnn::LayerId id = 0; id < net_.num_layers(); ++id) {
-    if (state.computed[id]) continue;  // interior of an executed VSM stack
-    const core::Tier assigned = assignment_.tier[dnn::Network::vertex_of(id)];
-    if (core::before(tier, assigned)) continue;  // cloud-ward of this stage
-    if (!ready(id)) continue;                    // deferred to a later stage
-
-    if (vsm_ && id == vsm_->stack.front()) {
-      // The stack input must be present on the edge coordinator first.
-      deliver(net_.layer(id).inputs[0], core::Tier::kEdge);
-      if (transport_->run_stack(state.rpc_request, node_of(core::Tier::kEdge))) {
-        // Remote edge: scatter, tile compute and gather all happened inside
-        // the edge process. Record the same intra-edge transcript (a pure
-        // function of the tile plan); the stack output stays on the edge node
-        // until a peer push, a relay, or the final result wants it.
-        for (std::size_t t = 0; t < vsm_->num_tiles(); ++t)
-          record_vsm_message(state, t, /*gather=*/false, nullptr);
-        for (std::size_t t = 0; t < vsm_->num_tiles(); ++t)
-          record_vsm_message(state, t, /*gather=*/true, nullptr);
-        for (const dnn::LayerId sid : vsm_->stack) {
-          state.computed[sid] = true;
-          ++state.result
-                .layers_executed[static_cast<std::size_t>(core::index(core::Tier::kEdge))];
-        }
-      } else {
-        run_vsm_stack(state);
-      }
-      continue;
-    }
-
-    for (const dnn::LayerId in : net_.layer(id).inputs) deliver(in, assigned);
-    if (transport_->run_layer(state.rpc_request, node_of(assigned), id)) {
-      // Remote node computed it from its own slots; the output is fetched
-      // back lazily — only when a relay or the final result needs it.
-    } else {
-      std::vector<const dnn::Tensor*> ins;
-      ins.reserve(net_.layer(id).inputs.size());
-      for (const dnn::LayerId in : net_.layer(id).inputs)
-        ins.push_back(resolve_input(state, in, assigned));
-      state.outputs[id] = exec::run_layer(net_, weights_, id, ins, op_context());
-    }
-    state.computed[id] = true;
-    ++state.result.layers_executed[static_cast<std::size_t>(core::index(assigned))];
-  }
-}
-
-void OnlineEngine::run_tier(RequestState& state, core::Tier tier) const {
-  const double service =
-      options_.emulated_tier_service_seconds[static_cast<std::size_t>(core::index(tier))];
-  if (service > 0.0) std::this_thread::sleep_for(std::chrono::duration<double>(service));
-
-  // The recovery loop around the tier walk: a node that lost its per-request
-  // state mid-walk (rpc::ChannelDied) is rebuilt by recover() and the walk
-  // re-entered — `computed`, `sent`, `shipped` and the VSM record flags make
-  // the re-entry resume exactly where the fault hit, re-running only what the
-  // dead node lost. Bounded by max_recovery_attempts per request.
-  for (;;) {
-    try {
-      run_tier_pass(state, tier);
-      break;
-    } catch (const rpc::ChannelDied& died) {
-      if (!try_recover(state, died)) throw;
-    }
-  }
-  // A restored request's first completed tier IS the interrupted one (resume
-  // starts there): past it, deliveries are ordinary again.
-  state.restored = false;
-  checkpoint(state, core::index(tier) + 1);
-}
-
 bool OnlineEngine::recover(RequestState& state, const rpc::ChannelDied& died) const {
   const std::string& node = died.node();
   if (node.empty()) return false;
@@ -695,48 +539,53 @@ OnlineEngine::Stats OnlineEngine::stats() const {
           tensors_reseeded_.load(), recovery_bytes_.load()};
 }
 
-InferenceResult OnlineEngine::finish(std::unique_ptr<RequestState> state) const {
+InferenceResult OnlineEngine::collect(RequestState& state) const {
   // The final layer may have run on a remote node with no boundary ever
-  // pulling it back; materialise it now, while the request is still open. A
-  // node death here is as recoverable as anywhere: rebuild the lost state and
-  // re-run the cloud-stage walk (which covers every tier's pending layers)
-  // before fetching again.
+  // pulling it back (or the collect stage's fetch failed); materialise it now,
+  // while the request is still open. A node death here is as recoverable as
+  // anywhere: rebuild the lost state, re-run the cloud-stage walk (which
+  // covers every tier's pending layers) with its ops waited out in place, and
+  // fetch again.
   bool rerun = false;
   for (;;) {
     try {
       if (rerun) {
         rerun = false;
-        run_tier_pass(*state, core::Tier::kCloud);
+        std::vector<rpc::Transport::OpHandle> ops;
+        std::vector<Effect> effects;
+        walk_tier(state, core::Tier::kCloud, ops, effects);
+        for (auto& op : ops) op.wait();
+        settle(ops, effects);
       }
-      materialize(*state, net_.num_layers() - 1);
+      materialize(state, net_.num_layers() - 1);
       break;
     } catch (const rpc::ChannelDied& died) {
-      if (!try_recover(*state, died)) throw;
+      if (!try_recover(state, died)) throw;
       rerun = true;
     }
   }
-  if (options_.journal) options_.journal->finish(state->rpc_request);
-  InferenceResult result = std::move(state->result);
-  result.output = std::move(state->outputs.back());
+  if (options_.journal) options_.journal->finish(state.rpc_request);
+  InferenceResult result = std::move(state.result);
+  result.output = std::move(state.outputs.back());
   return result;
 }
 
-OnlineEngine::Continuation OnlineEngine::start(const dnn::Tensor& input) const {
-  Continuation c;
-  c.state_ = begin(input);
-  return c;
-}
-
-OnlineEngine::Continuation OnlineEngine::start_async(const dnn::Tensor& input) const {
+OnlineEngine::Continuation OnlineEngine::admit(const dnn::Tensor& input, bool borrow) const {
   if (!(input.shape() == net_.input_shape()))
     throw std::invalid_argument("OnlineEngine: input shape mismatch");
   Continuation c;
   std::vector<rpc::Transport::OpHandle> admission;
-  c.state_ = make_state(net_, transport_, options_.tier_recovery, &admission);
+  c.state_ = make_state(net_, transport_, options_.tier_recovery, admission);
   RequestState& state = *c.state_;
-  state.owned_input = input;
-  state.input = &state.owned_input;
+  if (borrow) {
+    state.input = &input;
+  } else {
+    state.owned_input = input;
+    state.input = &state.owned_input;
+  }
   try {
+    // The raw frame originates on the device node; no inter-node message is
+    // involved, so a remote device tier receives it as a seed, not a send.
     // Queued behind the device node's kBegin (per-channel FIFO), so the seed
     // lands on an open request even though neither has settled yet.
     admission.push_back(transport_->issue_seed(
@@ -746,10 +595,23 @@ OnlineEngine::Continuation OnlineEngine::start_async(const dnn::Tensor& input) c
     // incarnation, so a successful recovery needs no re-issue here.
     if (!try_recover(state, died)) throw;
   }
-  checkpoint(state, 0);
   c.ops_ = std::move(admission);
+  c.effects_.resize(c.ops_.size());
   c.phase_ = Continuation::Phase::kAdmitting;
   return c;
+}
+
+OnlineEngine::Continuation OnlineEngine::start(const dnn::Tensor& input) const {
+  Continuation c = admit(input, /*borrow=*/false);
+  // Admission waited out and settled here, so a node that died on it is
+  // recovered (or its error thrown) by start(), not by the first step().
+  c.wait_ops();
+  advance(c, /*prefetch=*/false);
+  return c;
+}
+
+OnlineEngine::Continuation OnlineEngine::start_async(const dnn::Tensor& input) const {
+  return admit(input, /*borrow=*/false);
 }
 
 OnlineEngine::Continuation OnlineEngine::restore(const Snapshot& snapshot) const {
@@ -801,23 +663,25 @@ void OnlineEngine::abandon(Continuation&& c) const {
 
 bool OnlineEngine::step(Continuation& c) const {
   if (c.done()) throw std::logic_error("OnlineEngine: step() on a finished continuation");
-  if (c.next_ < 3) {
-    run_tier(*c.state_, c.next_tier());
-  } else {
-    c.result_ = finish(std::move(c.state_));
-  }
-  // Past the throw: a failed stage leaves the cursor (and for tier stages the
-  // state) untouched, so the caller decides between retrying and replaying.
-  ++c.next_;
+  // Blocking mode: wherever step_async would park, block in
+  // OpHandle::wait() on the outstanding ops instead — never spin on poll().
+  for (const int stage = c.next_; c.next_ == stage;)
+    if (advance(c, /*prefetch=*/false) == StepStatus::kParked) c.wait_ops();
   return c.done();
+}
+
+OnlineEngine::StepStatus OnlineEngine::step_async(Continuation& c) const {
+  if (c.done())
+    throw std::logic_error("OnlineEngine: step_async() on a finished continuation");
+  return advance(c, /*prefetch=*/true);
 }
 
 std::vector<dnn::LayerId> OnlineEngine::prefetch_targets(const RequestState& state,
                                                          core::Tier tier) const {
   std::vector<dnn::LayerId> targets;
   std::vector<bool> queued(net_.num_layers(), false);
-  // Dry-run of run_tier_pass's eligibility walk (nothing recorded, nothing
-  // run): `sim` evolves exactly like state.computed would, so the predicted
+  // Dry-run of walk_tier's eligibility pass (nothing recorded, nothing run):
+  // `sim` evolves exactly like state.computed would, so the predicted
   // materialise set matches the walk's.
   std::vector<bool> sim = state.computed;
   const auto ready = [&](dnn::LayerId id) {
@@ -855,15 +719,14 @@ std::vector<dnn::LayerId> OnlineEngine::prefetch_targets(const RequestState& sta
   return targets;
 }
 
-void OnlineEngine::run_tier_walk_async(
-    RequestState& state, core::Tier tier, std::vector<rpc::Transport::OpHandle>& ops,
-    std::vector<std::function<void(rpc::Transport::OpHandle&)>>& effects) const {
-  // Queues `op` with its success `effect` for the kSettling phase. An op a
+void OnlineEngine::walk_tier(RequestState& state, core::Tier tier,
+                             std::vector<rpc::Transport::OpHandle>& ops,
+                             std::vector<Effect>& effects) const {
+  // Queues `op` with its success `effect` for the settling phase. An op a
   // synchronous transport completed at issue time is finished on the spot —
-  // effect applied, error thrown — so the walk degenerates to the blocking
-  // run_tier_pass there (identical state evolution, identical throw points).
-  const auto queue = [&](rpc::Transport::OpHandle op,
-                         std::function<void(rpc::Transport::OpHandle&)> effect) {
+  // effect applied, error thrown — so on such transports the walk runs and
+  // throws exactly like a blocking one.
+  const auto queue = [&](rpc::Transport::OpHandle op, Effect effect) {
     if (op.settled()) {
       op.poll();
       op.rethrow();
@@ -874,8 +737,17 @@ void OnlineEngine::run_tier_walk_async(
     effects.push_back(std::move(effect));
   };
 
-  // Issue-mode twin of run_tier_pass's deliver: record order and per-channel
-  // frame order are byte-for-byte the blocking walk's; only the waiting moved.
+  // Boundaries whose put this walk already queued: `shipped` flips only when
+  // the put settles, and a second consumer on the same tier must not re-ship.
+  std::vector<std::array<bool, 3>> queued(net_.num_layers() + 1, {false, false, false});
+
+  // Ensures `producer`'s tensor is present at `to`, shipping it if not.
+  // Recording and shipping are tracked separately: the transcript message is
+  // recorded exactly once (`sent`), but the payload counts as moved
+  // (`shipped`) only once the transport reports it delivered — so when a
+  // channel death interrupts a send, the recovery re-entry re-ships the same
+  // boundary without re-recording it, and the transcript stays a pure
+  // function of the plan.
   const auto deliver = [&](dnn::LayerId producer, core::Tier to) {
     const bool is_input = producer == dnn::kNetworkInput;
     const core::Tier from = is_input ? core::Tier::kDevice
@@ -896,11 +768,18 @@ void OnlineEngine::run_tier_walk_async(
       state.sent[slot][to_idx] = true;
       record(state.result, meta);
     }
-    if (state.shipped[slot][to_idx]) return;
+    if (state.shipped[slot][to_idx] || queued[slot][to_idx]) return;
 
-    // The replica and peer paths are synchronous round-trips on *other*
-    // channels (the buddy's, the producer's) and stay blocking: they never
-    // ride this tier's pipelined queue.
+    // A restored request re-delivering its interrupted tier: the buddy's
+    // replica store is the cheapest source — the buddy pushes its stored copy
+    // peer-to-peer and the standby coordinator never touches the payload.
+    // (Speculative: the dead primary may not have replicated this slot, in
+    // which case the fall-through paths below pay the re-ship.) Next
+    // cheapest, a peer channel moves the bytes producer -> consumer directly
+    // and the coordinator never materialises the tensor at all (the raw input
+    // is peer-pushable too — it was seeded into the device node). Both are
+    // synchronous round-trips on *other* channels (the buddy's, the
+    // producer's): they never ride this tier's pipelined queue.
     if (state.restored && transport_->replica_push(state.rpc_request, meta, slot)) {
       state.shipped[slot][to_idx] = true;
       return;
@@ -909,16 +788,18 @@ void OnlineEngine::run_tier_walk_async(
       state.shipped[slot][to_idx] = true;
       return;
     }
+    // Relay path: serialise out of the coordinator's canonical copy, fetching
+    // it first if a remote node computed it.
     const dnn::Tensor& source = is_input ? *state.input : materialize(state, producer);
     const bool restored = state.restored;
     const std::uint64_t source_bytes = static_cast<std::uint64_t>(source.shape().bytes());
+    queued[slot][to_idx] = true;
     queue(transport_->issue_send(state.rpc_request, meta, slot, source),
           [this, &state, slot, to_idx, restored,
            source_bytes](rpc::Transport::OpHandle& op) {
-            // Shipped only once the put's reply landed: a death in between
-            // leaves it false and the recovery re-walk re-ships (without
-            // re-recording), exactly like a blocking mid-send death.
             state.shipped[slot][to_idx] = true;
+            // Failover accounting: what a restored request re-ships through
+            // the coordinator is the cost buddy replication exists to avoid.
             if (restored)
               recovery_bytes_.fetch_add(source_bytes, std::memory_order_relaxed);
             if (op.tensor()) {
@@ -928,6 +809,15 @@ void OnlineEngine::run_tier_walk_async(
           });
   };
 
+  // One ascending-id pass: run every pending layer assigned to this stage's
+  // tier *or an earlier one* whose inputs are all available. Prop.-1 allows a
+  // layer to consume a tensor from a cloud-ward tier (bounded only by its most
+  // device-ward input), so such a consumer is not ready at its own tier's
+  // stage; it defers and the cloud stage — where every producer has already
+  // run — catches it. Layer ids are topological, so the single pass per stage
+  // needs no fixpoint loop, and the execution order is a pure function of the
+  // plan: transcripts are identical however stages are driven and whichever
+  // transport carries the tensors.
   const auto ready = [&](dnn::LayerId id) {
     for (const dnn::LayerId in : net_.layer(id).inputs)
       if (in != dnn::kNetworkInput && !state.computed[in]) return false;
@@ -935,16 +825,21 @@ void OnlineEngine::run_tier_walk_async(
   };
 
   for (dnn::LayerId id = 0; id < net_.num_layers(); ++id) {
-    if (state.computed[id]) continue;
+    if (state.computed[id]) continue;  // interior of an executed VSM stack
     const core::Tier assigned = assignment_.tier[dnn::Network::vertex_of(id)];
-    if (core::before(tier, assigned)) continue;
-    if (!ready(id)) continue;
+    if (core::before(tier, assigned)) continue;  // cloud-ward of this stage
+    if (!ready(id)) continue;                    // deferred to a later stage
 
     if (vsm_ && id == vsm_->stack.front()) {
+      // The stack input must be present on the edge coordinator first.
       deliver(net_.layer(id).inputs[0], core::Tier::kEdge);
       rpc::Transport::OpHandle op =
           transport_->issue_run_stack(state.rpc_request, node_of(core::Tier::kEdge));
       if (op.valid()) {
+        // Remote edge: scatter, tile compute and gather all happen inside
+        // the edge process. Record the same intra-edge transcript (a pure
+        // function of the tile plan); the stack output stays on the edge node
+        // until a peer push, a relay, or the final result wants it.
         for (std::size_t t = 0; t < vsm_->num_tiles(); ++t)
           record_vsm_message(state, t, /*gather=*/false, nullptr);
         for (std::size_t t = 0; t < vsm_->num_tiles(); ++t)
@@ -965,10 +860,12 @@ void OnlineEngine::run_tier_walk_async(
     rpc::Transport::OpHandle op =
         transport_->issue_run_layer(state.rpc_request, node_of(assigned), id);
     if (op.valid()) {
-      // Optimistically computed at issue: per-channel replies are FIFO, so any
-      // later verb reading this layer's slot on the node executes after it; a
-      // death before completion is un-marked by recover() (the coordinator's
-      // copy is still empty, same signature as a blocking mid-walk death).
+      // A remote node computes it from its own slots; the output is fetched
+      // back lazily — only when a relay or the final result needs it. Marked
+      // computed at issue: per-channel replies are FIFO, so any later verb
+      // reading this layer's slot on the node executes after it; a death
+      // before completion is un-marked by recover() (the coordinator's copy
+      // is still empty).
       queue(std::move(op), nullptr);
     } else {
       std::vector<const dnn::Tensor*> ins;
@@ -982,78 +879,57 @@ void OnlineEngine::run_tier_walk_async(
   }
 }
 
-OnlineEngine::StepStatus OnlineEngine::step_async(Continuation& c) const {
-  if (c.done())
-    throw std::logic_error("OnlineEngine: step_async() on a finished continuation");
+OnlineEngine::StepStatus OnlineEngine::advance(Continuation& c, bool prefetch) const {
+  using Phase = Continuation::Phase;
+  RequestState& state = *c.state_;
+  // Polls every outstanding op — each poll flushes its channel's queued
+  // frames — and reports whether any is still unsettled.
+  const auto parked = [&] {
+    bool all = true;
+    for (auto& op : c.ops_)
+      if (!op.poll()) all = false;
+    return !all;
+  };
+
   if (c.next_ >= 3) {
     // Collect stage: the one remaining round-trip is the final-output fetch,
     // so issue it and park rather than stall the caller's thread on it.
-    // Completion errors are deliberately left unhandled here: the output slot
-    // stays empty and blocking finish() re-fetches it under its recovery
-    // loop, keeping collect-time recovery in one place.
-    RequestState& state = *c.state_;
+    // Its errors are deliberately dropped here: the output slot stays empty
+    // and collect() re-fetches it under its recovery loop, keeping
+    // collect-time recovery in one place.
     const auto last = static_cast<dnn::LayerId>(net_.num_layers() - 1);
-    if (c.phase_ == Continuation::Phase::kCollecting) {
-      bool all = true;
-      for (auto& op : c.ops_)
-        if (!op.poll()) all = false;
-      if (!all) return StepStatus::kParked;
-      for (auto& op : c.ops_)
-        if (!op.error() && op.tensor() && state.outputs[last].size() == 0)
-          state.outputs[last] = std::move(*op.tensor());
-      c.ops_.clear();
-    } else if (state.outputs[last].size() == 0) {
-      try {
-        rpc::Transport::OpHandle op = transport_->issue_fetch(
-            state.rpc_request, node_of(assignment_.tier[dnn::Network::vertex_of(last)]),
-            last + 1);
-        if (op.valid() && !op.settled()) {
-          c.ops_.push_back(std::move(op));
-          c.phase_ = Continuation::Phase::kCollecting;
-          return StepStatus::kParked;
+    if (c.phase_ != Phase::kCollecting) {
+      c.phase_ = Phase::kCollecting;
+      if (state.outputs[last].size() == 0) {
+        try {
+          c.ops_.push_back(transport_->issue_fetch(
+              state.rpc_request, node_of(assignment_.tier[dnn::Network::vertex_of(last)]),
+              last + 1));
+          c.effects_.push_back([&state, last](rpc::Transport::OpHandle& op) {
+            if (op.tensor()) state.outputs[last] = std::move(*op.tensor());
+          });
+        } catch (const rpc::TransportError&) {
+          // collect() fetches again.
         }
-        if (op.valid() && !op.error() && op.tensor())
-          state.outputs[last] = std::move(*op.tensor());
-      } catch (const rpc::ChannelDied&) {
-        // finish() owns collect-time recovery; re-entering it re-fetches.
       }
     }
-    c.result_ = finish(std::move(c.state_));
+    if (parked()) return StepStatus::kParked;
+    try {
+      settle(c.ops_, c.effects_);
+    } catch (const rpc::TransportError&) {
+      // collect() fetches again.
+    }
+    c.result_ = collect(state);
+    c.state_.reset();
     ++c.next_;
     return StepStatus::kDone;
   }
-  RequestState& state = *c.state_;
   const core::Tier tier = c.next_tier();
 
   switch (c.phase_) {
-    case Continuation::Phase::kAdmitting: {
-      bool all = true;
-      for (auto& op : c.ops_)
-        if (!op.poll()) all = false;
-      if (!all) return StepStatus::kParked;
-      std::exception_ptr first_error;
-      for (auto& op : c.ops_)
-        if (op.error() && !first_error) first_error = op.error();
-      c.ops_.clear();
-      if (first_error) {
-        try {
-          std::rethrow_exception(first_error);
-        } catch (const rpc::ChannelDied& died) {
-          // recover() re-begins the request on the restored channel and
-          // re-seeds the input, so admission is complete after it succeeds.
-          if (!try_recover(state, died)) throw;
-        }
-      }
-      c.phase_ = Continuation::Phase::kStart;
-      return StepStatus::kReady;
-    }
-
-    case Continuation::Phase::kCollecting:
-      throw std::logic_error("OnlineEngine: kCollecting before the collect stage");
-
-    case Continuation::Phase::kStart: {
-      // Emulated tier latency is paid once per stage, like run_tier's: a
-      // recovery re-entry must not re-sleep.
+    case Phase::kStart: {
+      // Emulated tier latency is paid once per stage: a recovery re-entry
+      // must not re-sleep.
       if (c.slept_stage_ != c.next_) {
         c.slept_stage_ = c.next_;
         const double service =
@@ -1063,53 +939,52 @@ OnlineEngine::StepStatus OnlineEngine::step_async(Continuation& c) const {
           std::this_thread::sleep_for(std::chrono::duration<double>(service));
       }
       c.ops_.clear();
-      c.fetch_ids_.clear();
       c.effects_.clear();
-      try {
-        for (const dnn::LayerId id : prefetch_targets(state, tier)) {
-          c.ops_.push_back(transport_->issue_fetch(
-              state.rpc_request,
-              node_of(assignment_.tier[dnn::Network::vertex_of(id)]), id + 1));
-          c.fetch_ids_.push_back(id);
+      if (prefetch) {
+        try {
+          for (const dnn::LayerId id : prefetch_targets(state, tier)) {
+            c.ops_.push_back(transport_->issue_fetch(
+                state.rpc_request,
+                node_of(assignment_.tier[dnn::Network::vertex_of(id)]), id + 1));
+            c.effects_.push_back([&state, id](rpc::Transport::OpHandle& op) {
+              dnn::Tensor& out = state.outputs[id];
+              if (out.size() == 0 && op.tensor()) out = std::move(*op.tensor());
+            });
+          }
+        } catch (const rpc::ChannelDied& died) {
+          c.ops_.clear();
+          c.effects_.clear();
+          if (!try_recover(state, died)) throw;
+          return StepStatus::kReady;  // re-enter kStart on the recovered channel
         }
-      } catch (const rpc::ChannelDied& died) {
-        c.ops_.clear();
-        c.fetch_ids_.clear();
-        if (!try_recover(state, died)) throw;
-        return StepStatus::kReady;  // re-enter kStart on the recovered channel
       }
-      c.phase_ = Continuation::Phase::kFetching;
+      c.phase_ = Phase::kFetching;
       return StepStatus::kReady;
     }
 
-    case Continuation::Phase::kFetching: {
-      bool all = true;
-      for (auto& op : c.ops_)
-        if (!op.poll()) all = false;
-      if (!all) return StepStatus::kParked;
-      std::exception_ptr first_error;
-      for (std::size_t i = 0; i < c.ops_.size(); ++i) {
-        rpc::Transport::OpHandle& op = c.ops_[i];
-        if (op.error()) {
-          if (!first_error) first_error = op.error();
-          continue;
-        }
-        dnn::Tensor& out = state.outputs[c.fetch_ids_[i]];
-        if (out.size() == 0 && op.tensor()) out = std::move(*op.tensor());
-      }
-      c.ops_.clear();
-      c.fetch_ids_.clear();
-      if (first_error) {
-        try {
-          std::rethrow_exception(first_error);
-        } catch (const rpc::ChannelDied& died) {
-          if (!try_recover(state, died)) throw;
-          c.phase_ = Continuation::Phase::kStart;
-          return StepStatus::kReady;
-        }
-      }
+    case Phase::kAdmitting: {
+      if (parked()) return StepStatus::kParked;
       try {
-        run_tier_walk_async(state, tier, c.ops_, c.effects_);
+        settle(c.ops_, c.effects_);
+      } catch (const rpc::ChannelDied& died) {
+        // recover() re-begins the request on the restored channel and
+        // re-seeds the input, so admission is complete after it succeeds.
+        if (!try_recover(state, died)) throw;
+      }
+      // Journalled only once the request is open everywhere: a request whose
+      // admission failed leaves no snapshot behind.
+      checkpoint(state, 0);
+      c.phase_ = Phase::kStart;
+      return StepStatus::kReady;
+    }
+
+    case Phase::kFetching:
+    case Phase::kSettling: {
+      if (parked()) return StepStatus::kParked;
+      const bool fetched = c.phase_ == Phase::kFetching;
+      try {
+        settle(c.ops_, c.effects_);
+        if (fetched) walk_tier(state, tier, c.ops_, c.effects_);
       } catch (const rpc::ChannelDied& died) {
         // Ops already issued stay queued on their (healthy) channels; FIFO
         // drains retire them under whoever touches those channels next, and
@@ -1117,44 +992,24 @@ OnlineEngine::StepStatus OnlineEngine::step_async(Continuation& c) const {
         c.ops_.clear();
         c.effects_.clear();
         if (!try_recover(state, died)) throw;
-        c.phase_ = Continuation::Phase::kStart;
+        c.phase_ = Phase::kStart;
         return StepStatus::kReady;
       }
-      c.phase_ = Continuation::Phase::kSettling;
+      if (fetched) {
+        c.phase_ = Phase::kSettling;
+        return StepStatus::kReady;
+      }
+      // A restored request's first completed tier IS the interrupted one
+      // (resume starts there): past it, deliveries are ordinary again.
+      state.restored = false;
+      checkpoint(state, core::index(tier) + 1);
+      ++c.next_;
+      c.phase_ = Phase::kStart;
       return StepStatus::kReady;
     }
 
-    case Continuation::Phase::kSettling: {
-      bool all = true;
-      for (auto& op : c.ops_)
-        if (!op.poll()) all = false;
-      if (!all) return StepStatus::kParked;
-      std::exception_ptr first_error;
-      for (std::size_t i = 0; i < c.ops_.size(); ++i) {
-        rpc::Transport::OpHandle& op = c.ops_[i];
-        if (op.error()) {
-          if (!first_error) first_error = op.error();
-          continue;
-        }
-        if (c.effects_[i]) c.effects_[i](op);
-      }
-      c.ops_.clear();
-      c.effects_.clear();
-      if (first_error) {
-        try {
-          std::rethrow_exception(first_error);
-        } catch (const rpc::ChannelDied& died) {
-          if (!try_recover(state, died)) throw;
-          c.phase_ = Continuation::Phase::kStart;
-          return StepStatus::kReady;
-        }
-      }
-      state.restored = false;
-      checkpoint(state, core::index(tier) + 1);
-      c.phase_ = Continuation::Phase::kStart;
-      ++c.next_;
-      return StepStatus::kReady;
-    }
+    case Phase::kCollecting:
+      throw std::logic_error("OnlineEngine: kCollecting before the collect stage");
   }
   return StepStatus::kReady;  // unreachable: all phases return above
 }
@@ -1165,18 +1020,12 @@ InferenceResult OnlineEngine::take(Continuation&& c) const {
 }
 
 InferenceResult OnlineEngine::infer(const dnn::Tensor& input) const {
-  if (!(input.shape() == net_.input_shape()))
-    throw std::invalid_argument("OnlineEngine: input shape mismatch");
-  // Borrow the caller's tensor: the three stages run synchronously while the
-  // caller's reference is pinned, so no per-request input copy is needed.
-  auto state = make_state(net_, transport_, options_.tier_recovery);
-  state->input = &input;
-  seed_input(*state);
-  checkpoint(*state, 0);
-  run_tier(*state, core::Tier::kDevice);
-  run_tier(*state, core::Tier::kEdge);
-  run_tier(*state, core::Tier::kCloud);
-  return finish(std::move(state));
+  // Borrow the caller's tensor: every stage runs before infer() returns, while
+  // the caller's reference is pinned, so no per-request input copy is needed.
+  Continuation c = admit(input, /*borrow=*/true);
+  while (!step(c)) {
+  }
+  return take(std::move(c));
 }
 
 }  // namespace d3::runtime

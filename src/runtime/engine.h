@@ -53,9 +53,16 @@
 // region, only the pure per-tile compute runs concurrently, and gather messages
 // plus output assembly happen in tile order *after* the join. The engine itself
 // is immutable after construction, so any number of threads may call infer()
-// concurrently (they share the tile pool); the staged API (begin / run_tier /
-// finish) is what runtime::BatchScheduler uses to pipeline several in-flight
+// concurrently (they share the tile pool); the continuation API (start / step /
+// take) is what runtime::BatchScheduler uses to pipeline several in-flight
 // requests across the tiers.
+//
+// One tier walk, driven two ways. Every stage runs the same issue-mode walk
+// (walk_tier): remote verbs are issued as pipelined frames and their handles
+// collected, never awaited one by one. step_async() *parks* on those handles
+// (the caller waits for socket readability and resumes); step() and infer()
+// *wait* on them in place. Outputs, transcripts and recovery are therefore the
+// however a request is driven.
 #pragma once
 
 #include <algorithm>
@@ -122,7 +129,7 @@ class OnlineEngine {
     // unaffected. Applies to locally-hosted tiles only (a remote edge node's
     // service time is real, not emulated).
     double emulated_tile_service_seconds = 0.0;
-    // Emulated per-stage service latency (seconds) added by run_tier for
+    // Emulated per-stage service latency (seconds) added once per tier stage for
     // [device, edge, cloud] — the stage actor's fixed overhead (network stack,
     // queueing) that tier pipelining overlaps across in-flight requests.
     std::array<double, 3> emulated_tier_service_seconds{0.0, 0.0, 0.0};
@@ -145,7 +152,7 @@ class OnlineEngine {
     std::size_t max_recovery_attempts = 3;
     // Write-ahead request journal for coordinator failover: non-null makes the
     // engine checkpoint every request after seeding and after each completed
-    // tier, and mark it finished on finish(). A standby coordinator (same
+    // tier, and mark it finished on collect. A standby coordinator (same
     // plan, workers surviving in listen mode) then restore()s the unfinished
     // snapshots and resumes them, re-running only the interrupted tier.
     std::shared_ptr<RequestJournal> journal = nullptr;
@@ -161,7 +168,7 @@ class OnlineEngine {
   };
 
   // Closes the transport-side request state when a request dies, however it
-  // dies (finish(), scheduler error paths, abandoned states).
+  // dies (collected, scheduler error paths, abandoned states).
   struct RpcRequestGuard {
     RpcRequestGuard(std::shared_ptr<rpc::Transport> transport, std::uint64_t id);
     ~RpcRequestGuard();
@@ -172,14 +179,13 @@ class OnlineEngine {
     std::uint64_t id = 0;
   };
 
-  // Mutable per-request execution state. Created by begin(); opaque to callers
-  // except as a token passed through run_tier()/finish(). One request's stages
-  // must run in tier order and never concurrently with each other, but distinct
-  // requests' states are fully independent.
+  // Mutable per-request execution state, owned by a Continuation. One
+  // request's stages run in tier order and never concurrently with each
+  // other, but distinct requests' states are fully independent.
   struct RequestState {
-    // The request input: begin() copies it into `owned_input` (the caller's
-    // tensor may die before later stages run on other threads), while the
-    // synchronous infer() path just borrows the caller's tensor — `input`
+    // The request input: start()/start_async() copy it into `owned_input` (the
+    // caller's tensor may die before later stages run on other threads), while
+    // the synchronous infer() path just borrows the caller's tensor — `input`
     // points at whichever holds it.
     dnn::Tensor owned_input;
     const dnn::Tensor* input = nullptr;
@@ -192,7 +198,7 @@ class OnlineEngine {
     // boundary is recorded exactly once even across recovery re-runs.
     std::vector<std::array<bool, 3>> sent;
     // shipped[producer index][tier]: the payload bytes actually reached the
-    // tier's node — set only after the transport call returns, so a mid-send
+    // tier's node — set only once the transport op settles, so a mid-send
     // channel death leaves it false and the re-entered tier walk re-ships
     // without re-recording.
     std::vector<std::array<bool, 3>> shipped;
@@ -231,28 +237,21 @@ class OnlineEngine {
   // called concurrently from any number of threads.
   InferenceResult infer(const dnn::Tensor& input) const;
 
-  // Staged execution for pipelined schedulers. Typical use:
-  //   auto s = engine.begin(input);
-  //   engine.run_tier(*s, core::Tier::kDevice);   // on the device stage thread
-  //   engine.run_tier(*s, core::Tier::kEdge);     // on the edge stage thread
-  //   engine.run_tier(*s, core::Tier::kCloud);    // on the cloud stage thread
-  //   InferenceResult r = engine.finish(std::move(s));
-  // Throws std::invalid_argument on input shape mismatch.
-  // begin() copies `input` into the state so the request outlives the caller's
-  // tensor (the scheduler's stages run on other threads, later).
-  std::unique_ptr<RequestState> begin(const dnn::Tensor& input) const;
-  void run_tier(RequestState& state, core::Tier tier) const;
-  InferenceResult finish(std::unique_ptr<RequestState> state) const;
-
-  // Resumable continuation form of the staged API, for event-driven front
-  // ends (runtime::ServingReactor): one movable token bundling the request
-  // state, a progress cursor, and the finished result, advanced one stage at
-  // a time by step(). The stages are the three tiers in order plus a final
-  // collect stage (the finish() call), so a single thread can interleave
-  // thousands of requests by round-robining step() across their
-  // continuations. Each step runs the same code as run_tier/finish —
-  // outputs and transcripts are bitwise-identical to the staged API and to
-  // infer() regardless of how steps of different requests interleave.
+  // Staged execution for pipelined schedulers and event-driven front ends
+  // (runtime::BatchScheduler, runtime::ServingReactor): one movable token
+  // bundling the request state, a progress cursor, and the finished result,
+  // advanced one stage at a time by step() or step_async(). The stages are the
+  // three tiers in order plus a final collect stage (the final-output fetch),
+  // so a single thread can interleave thousands of requests by round-robining
+  // steps across their continuations. Typical use:
+  //   auto c = engine.start(input);
+  //   engine.step(c);   // device, on the device stage thread
+  //   engine.step(c);   // edge, on the edge stage thread
+  //   engine.step(c);   // cloud, on the cloud stage thread
+  //   engine.step(c);   // collect
+  //   InferenceResult r = engine.take(std::move(c));
+  // Outputs and transcripts are bitwise-identical to infer() regardless of
+  // how steps of different requests interleave.
   class Continuation {
    public:
     static constexpr int kStageCount = 4;  // device, edge, cloud, collect
@@ -263,9 +262,9 @@ class OnlineEngine {
     bool done() const { return next_ == kStageCount; }
     // The tier the next step() executes; only valid before the collect stage.
     core::Tier next_tier() const { return static_cast<core::Tier>(next_); }
-    // The request input (the copy taken by start()); valid until the collect
-    // stage consumes the state — callers that may replay end-to-end keep
-    // their own copy.
+    // The request input (the copy start()/start_async() took); valid until
+    // the collect stage consumes the state — callers that may replay
+    // end-to-end keep their own copy.
     const dnn::Tensor& input() const { return state_->owned_input; }
 
     // Async-walk introspection for readiness-driven schedulers (step_async).
@@ -302,35 +301,39 @@ class OnlineEngine {
    private:
     friend class OnlineEngine;
     Continuation() = default;
+    // Where step() parks: wait out every outstanding op.
+    void wait_ops() {
+      for (auto& op : ops_) op.wait();
+    }
     std::unique_ptr<RequestState> state_;
     InferenceResult result_;
     int next_ = 0;
-    // step_async per-tier phase machine: park until start_async's pipelined
-    // admission (kBegin broadcast + input seed) settles (kAdmitting), issue
-    // prefetch fetches (kStart), park until they land then issue the tier's
-    // walk (kFetching), park until every issued op settles then apply effects
-    // and advance (kSettling). kCollecting parks the collect stage on its
-    // issued final-output fetch so even the last round-trip overlaps other
-    // requests' compute.
+    // Per-tier phase machine: wait until the pipelined admission (kBegin
+    // broadcast + input seed) settles (kAdmitting), issue prefetch fetches
+    // (kStart), wait until they land then issue the tier's walk (kFetching),
+    // wait until every issued op settles then apply effects and advance
+    // (kSettling). kCollecting waits on the collect stage's final-output
+    // fetch. "Wait" is a park under step_async() and a blocking wait under
+    // step().
     enum class Phase { kAdmitting, kStart, kFetching, kSettling, kCollecting };
     Phase phase_ = Phase::kStart;
     int slept_stage_ = -1;  // emulated tier latency paid once per stage
     std::vector<rpc::Transport::OpHandle> ops_;
-    std::vector<dnn::LayerId> fetch_ids_;  // parallel to ops_ in kFetching
-    // Parallel to ops_ in kSettling: success-side state mutation for each op
-    // (mark shipped, store a wired copy), applied only after the op completes.
+    // Parallel to ops_: success-side state mutation for each op (store a
+    // fetched output, mark shipped, keep a wired copy), applied only after
+    // the op completes.
     std::vector<std::function<void(rpc::Transport::OpHandle&)>> effects_;
   };
 
-  // begin() in continuation form: copies `input` into the state.
+  // Opens a request: copies `input` into the state, issues the admission
+  // round-trips (the per-node kBegin broadcast and the device input seed) as
+  // pipelined sends, and waits them out — a node that dies on admission is
+  // recovered (or its error thrown) here. Throws std::invalid_argument on
+  // input shape mismatch.
   Continuation start(const dnn::Tensor& input) const;
-  // start() for readiness-driven schedulers: admission round-trips (the
-  // per-node kBegin broadcast and the device input seed) are *issued* as
-  // pipelined sends instead of awaited, and the returned continuation parks
-  // on them in its first step_async (Phase::kAdmitting). On transports
-  // without an async facade this degenerates to start(). Blocking step()
-  // must not drive a continuation made here until its admission has settled
-  // (step_async once); the reactor's readiness mode is the intended caller.
+  // start() for readiness-driven schedulers: the admission round-trips are
+  // issued but not awaited; the continuation's first step parks (step_async)
+  // or waits (step) on them. Either may take it from there.
   Continuation start_async(const dnn::Tensor& input) const;
   // Rebuilds an in-flight request from a journal snapshot, for a standby
   // coordinator taking over after the primary died. Re-opens the journalled
@@ -348,7 +351,10 @@ class OnlineEngine {
   // exercise (and benchmark) the failover path: abandon mid-request, then
   // restore() from the journal.
   void abandon(Continuation&& c) const;
-  // Runs the continuation's next stage; returns done() afterwards. A stage
+  // Runs the continuation's next stage to completion; returns done()
+  // afterwards. The stage is step_async()'s walk with every park replaced by
+  // a blocking OpHandle::wait() on the outstanding ops (no prefetch phase:
+  // a blocking stage fetches relay sources lazily, inside the walk). A stage
   // that throws (transport death past the recovery budget) leaves the cursor
   // where it was — the caller replays from a fresh start() or propagates.
   bool step(Continuation& c) const;
@@ -370,13 +376,13 @@ class OnlineEngine {
   // readability on Continuation::pending_fds() (or sweep ops_settled()) and
   // call step_async again — the reactor keeps serving other requests
   // meanwhile, which is what overlaps wire wait with compute. kReady means
-  // call again now. Record order is fixed at issue time in walk order, and
-  // per-channel frames are issued in exactly the blocking walk's order, so
-  // outputs stay bitwise-identical and transcripts byte-identical to step()
-  // and infer() on every transport. On transports whose issue_* verbs
-  // complete synchronously (in-process, loopback, fault-injection decorators)
-  // the effects apply inline and the walk degenerates to the blocking one.
-  // Throws like step(); the cursor semantics on throw are identical.
+  // call again now. It is the same walk step() drives, so outputs stay
+  // bitwise-identical and transcripts byte-identical to step() and infer() on
+  // every transport; the two may even alternate on one continuation.
+  // On transports whose issue_* verbs complete synchronously (in-process,
+  // loopback, fault-injection decorators) the effects apply inline and no
+  // stage ever parks. Throws like step(); the cursor semantics on throw are
+  // identical.
   enum class StepStatus { kDone, kReady, kParked };
   StepStatus step_async(Continuation& c) const;
 
@@ -395,17 +401,24 @@ class OnlineEngine {
   Stats stats() const;
 
  private:
-  // One walk of the plan at `tier` (the pre-recovery run_tier body); the
-  // public run_tier wraps it in the ChannelDied recovery loop.
-  void run_tier_pass(RequestState& state, core::Tier tier) const;
-  // run_tier_pass in issue mode (step_async's kFetching phase): identical walk
-  // and record order, but remote verbs are issued, not awaited — each op lands
-  // in `ops` with its success effect in `effects`. Ops already settled at
-  // issue time (synchronous transports) have their effects applied inline.
-  void run_tier_walk_async(
-      RequestState& state, core::Tier tier, std::vector<rpc::Transport::OpHandle>& ops,
-      std::vector<std::function<void(rpc::Transport::OpHandle&)>>& effects) const;
-  // The producers whose outputs the next run_tier_pass at `tier` would
+  // The continuation with admission issued but not awaited (start_async);
+  // `borrow` keeps a pointer to `input` instead of copying it (infer()).
+  Continuation admit(const dnn::Tensor& input, bool borrow) const;
+  // One step_async() call; `prefetch` enables the kStart prefetch phase.
+  StepStatus advance(Continuation& c, bool prefetch) const;
+  // The collect stage's tail: materialise the final output (recovering a node
+  // that dies on it by re-walking the cloud tier) and close the journal entry.
+  InferenceResult collect(RequestState& state) const;
+  // The tier walk step() and step_async() share: every pending layer
+  // eligible at `tier` runs in ascending id order, transcript messages are
+  // recorded in walk order, and remote verbs are issued, not awaited — each
+  // op lands in `ops` with its success effect in `effects`. Ops already
+  // settled at issue time (synchronous transports) have their effects
+  // applied inline.
+  void walk_tier(RequestState& state, core::Tier tier,
+                 std::vector<rpc::Transport::OpHandle>& ops,
+                 std::vector<std::function<void(rpc::Transport::OpHandle&)>>& effects) const;
+  // The producers whose outputs the next walk_tier at `tier` would
   // materialise at the coordinator (computed on a remote node, never fetched,
   // needed by an unshipped boundary): what kStart prefetches concurrently.
   // Over- and under-approximation are both safe — a spare fetch only moves
@@ -423,9 +436,6 @@ class OnlineEngine {
   // Options::tier_recovery and the per-request attempts bound, runs
   // recover(), and counts the attempt. False = the caller rethrows.
   bool try_recover(RequestState& state, const rpc::ChannelDied& died) const;
-  // Seeds the raw input into the device node, recovering in place if the node
-  // dies on the spot (shared by begin() and infer()).
-  void seed_input(RequestState& state) const;
   // Appends a journal snapshot of `state` at continuation cursor `next_stage`
   // (no-op without Options::journal).
   void checkpoint(RequestState& state, int next_stage) const;

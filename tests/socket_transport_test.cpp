@@ -239,6 +239,79 @@ TEST(SocketTransport, BranchNetWithDeferredConsumerAcrossProcesses) {
   EXPECT_EQ(distributed.device_cloud_bytes, local.device_cloud_bytes);
 }
 
+TEST(SocketTransport, BlockingInferPipelinesFramesThroughTheIssueWalk) {
+  // Blocking infer() and step() drive the same issue-mode tier walk as the
+  // reactor's step_async(): a tier's run-layer frames queue on the node's
+  // channel and go out in one coalesced write instead of one round-trip
+  // each. Bits and transcript stay those of exec::Executor and the
+  // in-process engine.
+  const dnn::Network net = dnn::zoo::tiny_chain();
+  const exec::WeightStore weights = exec::WeightStore::random_for(net, 71);
+  util::Rng rng(72);
+
+  // Three remote layers on the device and on the edge, the rest in the cloud.
+  core::Assignment assignment;
+  assignment.tier.assign(net.num_layers() + 1, core::Tier::kCloud);
+  assignment.tier[0] = core::Tier::kDevice;
+  for (const dnn::LayerId id : {0, 1, 2})
+    assignment.tier[dnn::Network::vertex_of(id)] = core::Tier::kDevice;
+  for (const dnn::LayerId id : {3, 4, 5})
+    assignment.tier[dnn::Network::vertex_of(id)] = core::Tier::kEdge;
+  const core::SerializablePlan plan{net.name(), assignment, std::nullopt};
+
+  Cluster cluster(net, weights, plan, 0);
+  OnlineEngine::Options options;
+  options.transport = cluster.transport;
+  const OnlineEngine engine(net, weights, assignment, std::nullopt, options);
+  const OnlineEngine local(net, weights, assignment);
+  const exec::Executor executor(net, weights);
+
+  const dnn::Tensor frame = exec::random_tensor(net.input_shape(), rng);
+  const InferenceResult blocking = engine.infer(frame);
+  expect_identical(blocking.output, executor.run(frame));
+  expect_same_transcript(blocking, local.infer(frame));
+  EXPECT_GT(cluster.transport->stats().pipelined_sends, 0u);
+
+  // A second input, admitted without waiting (start_async) and then driven
+  // to completion by blocking step() alone.
+  const dnn::Tensor second = exec::random_tensor(net.input_shape(), rng);
+  OnlineEngine::Continuation c = engine.start_async(second);
+  while (!engine.step(c)) {
+  }
+  const InferenceResult stepped = engine.take(std::move(c));
+  expect_identical(stepped.output, executor.run(second));
+  expect_same_transcript(stepped, local.infer(second));
+}
+
+TEST(SocketTransport, BlockingWalkShipsEachBoundaryOnce) {
+  // tiny-branch with the stem on the device and both branches in the cloud:
+  // one cloud-stage walk delivers stem_relu to two cloud consumers. The put
+  // queued for the first must serve the second too, even though it has not
+  // settled yet — the coordinator ships the raw input and stem_relu once.
+  const dnn::Network net = dnn::zoo::tiny_branch();
+  const exec::WeightStore weights = exec::WeightStore::random_for(net, 73);
+  util::Rng rng(74);
+  const dnn::Tensor frame = exec::random_tensor(net.input_shape(), rng);
+
+  core::Assignment assignment;
+  assignment.tier.assign(net.num_layers() + 1, core::Tier::kCloud);
+  assignment.tier[0] = core::Tier::kDevice;
+  for (const dnn::LayerId id : {0, 1})
+    assignment.tier[dnn::Network::vertex_of(id)] = core::Tier::kDevice;
+  const core::SerializablePlan plan{net.name(), assignment, std::nullopt};
+
+  Cluster cluster(net, weights, plan, 0);
+  OnlineEngine::Options options;
+  options.transport = cluster.transport;
+  const OnlineEngine engine(net, weights, assignment, std::nullopt, options);
+
+  const InferenceResult result = engine.infer(frame);
+  expect_identical(result.output, exec::Executor(net, weights).run(frame));
+  const dnn::Tensor stem_relu(net.layer(1).output_shape);
+  EXPECT_EQ(cluster.transport->stats().payload_bytes_sent,
+            rpc::encode_tensor(frame).size() + rpc::encode_tensor(stem_relu).size());
+}
+
 TEST(SocketTransport, PipelinedSchedulerAcrossProcesses) {
   const dnn::Network net = dnn::zoo::tiny_chain();
   const exec::WeightStore weights = exec::WeightStore::random_for(net, 41);
