@@ -1,28 +1,22 @@
-// Measured concurrency of the threaded runtime engine on real tensors:
-// (1) VSM stage wall clock, sequential tile loop vs. ThreadPool workers — the
-//     paper's fused-tile spatial parallelism actually running as threads;
-// (2) pipelined batch admission through runtime::BatchScheduler vs. strictly
-//     serial inference — the tier pipelining that sim::pipelining_speedup
-//     predicts.
+// Measured concurrency of the threaded runtime engine on real tensors: VSM
+// stage wall clock, sequential tile loop vs. ThreadPool workers — the paper's
+// fused-tile spatial parallelism actually running as threads.
 //
-// Two modes per table. "raw" runs pure compute: its speedup tracks how many
-// physical cores the host gives the pool (on a single-core CI box it stays
-// ~1x). "cluster" adds the engine's emulated per-node service latency, which
-// stands in for the remote machines of the paper's testbed (each tile runs on
-// a *separate* edge node there); threads genuinely overlap those waits, so
-// this is real wall-clock concurrency even on one core, not a simulation —
-// and outputs are still checked bitwise against the single-node reference.
+// Two modes. "raw" runs pure compute: its speedup tracks how many physical
+// cores the host gives the pool (on a single-core CI box it stays ~1x).
+// "cluster" adds the engine's emulated per-tile service latency, which stands
+// in for the remote machines of the paper's testbed (each tile runs on a
+// *separate* edge node there); threads genuinely overlap those waits, so this
+// is real wall-clock concurrency even on one core, not a simulation — and
+// outputs are still checked bitwise against the single-node reference.
 #include <chrono>
 #include <iostream>
-#include <thread>
 #include <vector>
 
 #include "common.h"
 #include "core/d3.h"
 #include "core/vsm.h"
 #include "exec/executor.h"
-#include "net/conditions.h"
-#include "runtime/batch_scheduler.h"
 #include "runtime/engine.h"
 #include "runtime/thread_pool.h"
 #include "util/rng.h"
@@ -32,10 +26,9 @@ using namespace d3;
 
 namespace {
 
-// Emulated remote-node service per VSM tile / per tier stage. Chosen at the
-// scale of the paper's per-stage latencies (tens of ms); the tables print it.
+// Emulated remote-node service per VSM tile. Chosen at the scale of the
+// paper's per-stage latencies (tens of ms); the table prints it.
 constexpr double kTileServiceSeconds = 0.12;
-constexpr std::array<double, 3> kTierServiceSeconds = {0.03, 0.08, 0.03};
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
@@ -121,79 +114,14 @@ void vsm_stage_speedup() {
   std::cout << "\n";
 }
 
-void pipelined_batch_speedup() {
-  const dnn::Network net = vsm_workload();
-  const exec::WeightStore weights = exec::WeightStore::random_for(net, 19);
-  util::Rng rng(23);
-
-  // Three-tier split so every stage does real work and pipelining has
-  // something to overlap.
-  core::Assignment plan;
-  plan.tier.assign(net.num_layers() + 1, core::Tier::kEdge);
-  plan.tier[0] = core::Tier::kDevice;
-  plan.tier[1] = core::Tier::kDevice;
-  plan.tier.back() = core::Tier::kCloud;
-
-  runtime::OnlineEngine::Options opts;
-  opts.vsm_workers = 2;
-  opts.emulated_tier_service_seconds = kTierServiceSeconds;
-  const runtime::OnlineEngine engine(net, weights, plan, std::nullopt, opts);
-  const exec::Executor reference(net, weights);
-
-  // The sim model's prediction for the same stage services: closed-form
-  // makespan of a back-to-back batch vs. strictly serial frames.
-  sim::PipelinePlan pipe;
-  pipe.device_seconds = kTierServiceSeconds[0];
-  pipe.edge_seconds = kTierServiceSeconds[1];
-  pipe.cloud_seconds = kTierServiceSeconds[2];
-  pipe.edge_used = pipe.cloud_used = true;
-  pipe.condition = net::wifi();
-
-  util::Table table({"batch", "serial (ms)", "pipelined (ms)", "speedup",
-                     "model speedup", "lossless"});
-  for (const std::size_t batch : {4u, 8u, 16u}) {
-    std::vector<dnn::Tensor> inputs;
-    for (std::size_t k = 0; k < batch; ++k)
-      inputs.push_back(exec::random_tensor(net.input_shape(), rng));
-    const std::vector<dnn::Tensor> refs = reference.run_batch(inputs);
-
-    auto t0 = std::chrono::steady_clock::now();
-    bool lossless = true;
-    for (std::size_t k = 0; k < batch; ++k)
-      lossless &= identical(engine.infer(inputs[k]).output, refs[k]);
-    const double serial_s = seconds_since(t0);
-
-    t0 = std::chrono::steady_clock::now();
-    runtime::BatchScheduler scheduler(engine);
-    for (const dnn::Tensor& input : inputs) scheduler.submit(input);
-    const std::vector<runtime::InferenceResult> results = scheduler.drain();
-    const double pipelined_s = seconds_since(t0);
-    for (std::size_t k = 0; k < batch; ++k)
-      lossless &= identical(results[k].output, refs[k]);
-
-    table.row()
-        .cell(static_cast<std::int64_t>(batch))
-        .cell(util::ms(serial_s), 2)
-        .cell(util::ms(pipelined_s), 2)
-        .cell(serial_s / pipelined_s, 2)
-        .cell(sim::pipelining_speedup(pipe, batch), 2)
-        .cell(std::string(lossless ? "yes" : "NO"));
-  }
-  table.print(std::cout,
-              "Batched admission: serial infer() vs. BatchScheduler tier pipeline "
-              "(emulated stage service device/edge/cloud = 30/80/30 ms)");
-  std::cout << "\n";
-}
-
 }  // namespace
 
 int main() {
   bench::banner("Concurrent runtime engine",
-                "Real threads, real tensors: VSM tile parallelism and tier "
-                "pipelining measured against the sequential engine, with "
-                "bitwise losslessness checked on every run.");
+                "Real threads, real tensors: VSM tile parallelism measured "
+                "against the sequential engine, with bitwise losslessness "
+                "checked on every run.");
   vsm_stage_speedup();
-  pipelined_batch_speedup();
   bench::paper_note(
       "HPA+VSM's speedup story (Figs. 9/12) assumes concurrent workers; this "
       "bench demonstrates it end-to-end on the in-process cluster.");

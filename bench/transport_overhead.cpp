@@ -17,8 +17,8 @@
 // The relay-vs-peer byte columns quantify what the star topology costs: every
 // relay byte crosses the coordinator twice (fetch + send), so the peer path
 // removes 2x relay KB of coordinator traffic per inference. Put against
-// Options::emulated_tier_service_seconds (the knob the concurrency bench uses
-// to stand in for remote service time) and the fig13 per-frame boundary
+// Options::emulated_tier_service_seconds (the knob the serving bench uses to
+// stand in for remote service time) and the fig13 per-frame boundary
 // traffic, it closes the loop on the paper's communication-overhead story
 // with measured numbers. Writes BENCH_transport.json.
 #include <chrono>

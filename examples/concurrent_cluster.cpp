@@ -3,8 +3,8 @@
 // Builds a three-tier plan for a small CNN with a VSM fused-tile stack on the
 // edge, then serves a burst of requests two ways:
 //   1. one by one through the threaded engine (tiles on real pool threads),
-//   2. pipelined through runtime::BatchScheduler (device/edge/cloud stages
-//      overlap across in-flight requests).
+//   2. submitted as one burst to runtime::ServingReactor (every request held
+//      in flight at once, stages interleaved on the reactor thread).
 // Every output is checked bitwise against the single-node reference, and the
 // first request's message transcript is printed to show the deterministic
 // sequence numbering.
@@ -15,8 +15,8 @@
 #include "core/vsm.h"
 #include "dnn/model_zoo.h"
 #include "exec/executor.h"
-#include "runtime/batch_scheduler.h"
 #include "runtime/engine.h"
+#include "runtime/serving_reactor.h"
 #include "util/rng.h"
 #include "util/units.h"
 
@@ -69,16 +69,16 @@ int main() {
   std::cout << "serial over threaded engine: " << util::ms(serial_s) << " ms, lossless="
             << (lossless ? "yes" : "NO") << "\n";
 
-  // 2. The same burst pipelined across the tiers.
+  // 2. The same burst served by the reactor front end.
   t0 = std::chrono::steady_clock::now();
-  runtime::BatchScheduler scheduler(engine);
-  for (const dnn::Tensor& frame : frames) scheduler.submit(frame);
-  const std::vector<runtime::InferenceResult> results = scheduler.drain();
-  const double pipelined_s =
+  runtime::ServingReactor reactor(engine);
+  for (const dnn::Tensor& frame : frames) reactor.submit(frame);
+  const std::vector<runtime::InferenceResult> results = reactor.drain();
+  const double served_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   for (std::size_t k = 0; k < results.size(); ++k)
     lossless &= identical(results[k].output, references[k]);
-  std::cout << "pipelined through BatchScheduler: " << util::ms(pipelined_s)
+  std::cout << "served through ServingReactor: " << util::ms(served_s)
             << " ms, lossless=" << (lossless ? "yes" : "NO") << "\n\n";
 
   std::cout << "request 0 transcript (" << first.messages.size() << " messages):\n";

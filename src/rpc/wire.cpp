@@ -123,6 +123,9 @@ std::vector<float> WireReader::f32_array() {
 }
 
 void WireReader::f32_raw(float* out, std::size_t count) {
+  // An empty array (a layer without parameters) may come with a null `out`,
+  // and memcpy from/to null is undefined even for zero bytes.
+  if (count == 0) return;
   const std::uint8_t* p = need(count * sizeof(float), "float payload");
   if constexpr (kLittleEndianHost) {
     std::memcpy(out, p, count * sizeof(float));

@@ -54,7 +54,7 @@
 // plus output assembly happen in tile order *after* the join. The engine itself
 // is immutable after construction, so any number of threads may call infer()
 // concurrently (they share the tile pool); the continuation API (start / step /
-// take) is what runtime::BatchScheduler uses to pipeline several in-flight
+// take) is what runtime::ServingReactor uses to interleave many in-flight
 // requests across the tiers.
 //
 // One tier walk, driven two ways. Every stage runs the same issue-mode walk
@@ -130,8 +130,9 @@ class OnlineEngine {
     // service time is real, not emulated).
     double emulated_tile_service_seconds = 0.0;
     // Emulated per-stage service latency (seconds) added once per tier stage for
-    // [device, edge, cloud] — the stage actor's fixed overhead (network stack,
-    // queueing) that tier pipelining overlaps across in-flight requests.
+    // [device, edge, cloud] — the stage's fixed overhead (network stack,
+    // queueing). Tests and the serving bench use it to hold requests in
+    // flight for a known time.
     std::array<double, 3> emulated_tier_service_seconds{0.0, 0.0, 0.0};
     // Message fabric between the computation nodes. nullptr = the shared
     // zero-copy InProcessTransport (the original engine behaviour).
@@ -168,7 +169,7 @@ class OnlineEngine {
   };
 
   // Closes the transport-side request state when a request dies, however it
-  // dies (collected, scheduler error paths, abandoned states).
+  // dies (collected, front-end error paths, abandoned states).
   struct RpcRequestGuard {
     RpcRequestGuard(std::shared_ptr<rpc::Transport> transport, std::uint64_t id);
     ~RpcRequestGuard();
@@ -237,17 +238,17 @@ class OnlineEngine {
   // called concurrently from any number of threads.
   InferenceResult infer(const dnn::Tensor& input) const;
 
-  // Staged execution for pipelined schedulers and event-driven front ends
-  // (runtime::BatchScheduler, runtime::ServingReactor): one movable token
+  // Staged execution for the event-driven front end
+  // (runtime::ServingReactor): one movable token
   // bundling the request state, a progress cursor, and the finished result,
   // advanced one stage at a time by step() or step_async(). The stages are the
   // three tiers in order plus a final collect stage (the final-output fetch),
   // so a single thread can interleave thousands of requests by round-robining
   // steps across their continuations. Typical use:
   //   auto c = engine.start(input);
-  //   engine.step(c);   // device, on the device stage thread
-  //   engine.step(c);   // edge, on the edge stage thread
-  //   engine.step(c);   // cloud, on the cloud stage thread
+  //   engine.step(c);   // device
+  //   engine.step(c);   // edge
+  //   engine.step(c);   // cloud
   //   engine.step(c);   // collect
   //   InferenceResult r = engine.take(std::move(c));
   // Outputs and transcripts are bitwise-identical to infer() regardless of
@@ -267,7 +268,7 @@ class OnlineEngine {
     // end-to-end keep their own copy.
     const dnn::Tensor& input() const { return state_->owned_input; }
 
-    // Async-walk introspection for readiness-driven schedulers (step_async).
+    // Async-walk introspection for readiness-driven front ends (step_async).
     // True when every outstanding async op has its reply drained (no
     // syscalls); a parked continuation whose ops are all settled can be
     // resumed without waiting for fd readability.
@@ -331,7 +332,7 @@ class OnlineEngine {
   // recovered (or its error thrown) here. Throws std::invalid_argument on
   // input shape mismatch.
   Continuation start(const dnn::Tensor& input) const;
-  // start() for readiness-driven schedulers: the admission round-trips are
+  // start() for readiness-driven front ends: the admission round-trips are
   // issued but not awaited; the continuation's first step parks (step_async)
   // or waits (step) on them. Either may take it from there.
   Continuation start_async(const dnn::Tensor& input) const;
@@ -359,7 +360,7 @@ class OnlineEngine {
   // where it was — the caller replays from a fresh start() or propagates.
   bool step(Continuation& c) const;
 
-  // Non-blocking variant of step() for readiness-driven schedulers. Instead of
+  // Non-blocking variant of step() for readiness-driven front ends. Instead of
   // blocking on the wire, a tier stage advances through a three-phase walk:
   //
   //   kStart    issue prefetch fetches for every remote producer output the

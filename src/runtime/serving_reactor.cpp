@@ -90,8 +90,8 @@ std::size_t ServingReactor::submit(const dnn::Tensor& input, const SubmitOptions
     }
 
     if (!refused_someone) {
-      // Drop-oldest admission on the waiting queue, exactly like
-      // BatchScheduler: the new request displaces the stalest waiting one.
+      // Drop-oldest admission on the waiting queue: the new request
+      // displaces the stalest waiting one.
       if (options_.admission_capacity > 0 &&
           waiting_.size() >= options_.admission_capacity) {
         const std::size_t victim = waiting_.front();
@@ -250,6 +250,36 @@ void ServingReactor::finish_locked(std::size_t id, Ticket& ticket, Clock::time_p
   }
 }
 
+bool ServingReactor::spend_replay(Ticket& ticket) {
+  if (ticket.replays >= options_.max_replays) {
+    ticket.error = std::current_exception();
+    return false;
+  }
+  ++ticket.replays;
+  std::lock_guard<std::mutex> lock(mutex_);
+  ++counters_.replayed;
+  return true;
+}
+
+bool ServingReactor::begin(Ticket& ticket) {
+  for (;;) {
+    try {
+      // Readiness mode issues the admission round-trips (kBegin broadcast +
+      // input seed) as pipelined sends; the first kStep parks on them.
+      ticket.cont = options_.readiness_dispatch ? engine_.start_async(ticket.input)
+                                                : engine_.start(ticket.input);
+      return true;
+    } catch (const rpc::ChannelDied&) {
+      // Transcript purity makes a replay from the retained input
+      // byte-identical to a first run.
+      if (!spend_replay(ticket)) return false;
+    } catch (...) {
+      ticket.error = std::current_exception();
+      return false;
+    }
+  }
+}
+
 void ServingReactor::reactor_loop() {
   enum class Act { kIdle, kAdmit, kStep };
   for (;;) {
@@ -349,20 +379,14 @@ void ServingReactor::reactor_loop() {
         done_cv_.notify_all();
         continue;
       }
-      try {
-        // Readiness mode issues the admission round-trips (kBegin broadcast +
-        // input seed) as pipelined sends; the first kStep parks on them.
-        ticket.cont = options_.readiness_dispatch ? engine_.start_async(ticket.input)
-                                                  : engine_.start(ticket.input);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ticket.error = std::current_exception();
+      const bool begun = begin(ticket);
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (begun) {
+        runnable_[ticket.priority].push_back(id);
+      } else {
         finish_locked(id, ticket, Clock::now());
         done_cv_.notify_all();
-        continue;
       }
-      std::lock_guard<std::mutex> lock(mutex_);
-      runnable_[ticket.priority].push_back(id);
       continue;
     }
 
@@ -400,23 +424,8 @@ void ServingReactor::reactor_loop() {
         finished = true;
       }
     } catch (const rpc::ChannelDied&) {
-      // End-to-end replay fallback (transcript purity makes the replayed
-      // result byte-identical), bounded by max_replays.
-      if (ticket.replays < options_.max_replays) {
-        try {
-          ticket.cont = options_.readiness_dispatch ? engine_.start_async(ticket.input)
-                                                    : engine_.start(ticket.input);
-          ++ticket.replays;
-          std::lock_guard<std::mutex> lock(mutex_);
-          ++counters_.replayed;
-        } catch (...) {
-          ticket.error = std::current_exception();
-          finished = true;
-        }
-      } else {
-        ticket.error = std::current_exception();
-        finished = true;
-      }
+      // End-to-end replay fallback, bounded by max_replays.
+      finished = !(spend_replay(ticket) && begin(ticket));
     } catch (...) {
       ticket.error = std::current_exception();
       finished = true;

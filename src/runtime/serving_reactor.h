@@ -1,15 +1,14 @@
-// Event-driven serving front end: one reactor thread multiplexing thousands
-// of in-flight requests over the engine's continuation API.
+// The serving front end: one reactor thread multiplexing thousands of
+// in-flight requests over the engine's continuation API.
 //
-// Where runtime::BatchScheduler dedicates one blocking thread per tier (three
-// lanes, each request handed thread-to-thread), the reactor holds every
-// admitted request as an OnlineEngine::Continuation and pumps them from a
-// single event loop: admit waiting requests up to Options::max_inflight, run
-// exactly one stage of the highest-priority runnable request, repeat. The
-// loop sleeps on an rpc::Poller (epoll — the same multiplexer that drives the
-// d3_node worker serve loop) with an rpc::EventFd registered as the wake-up
-// channel, so submissions from any thread interrupt an idle reactor without
-// polling. With Options::readiness_dispatch the loop pumps stages through
+// The reactor holds every admitted request as an OnlineEngine::Continuation
+// and pumps them from a single event loop: admit waiting requests up to
+// Options::max_inflight, run exactly one stage of the highest-priority
+// runnable request, repeat. The loop sleeps on an rpc::Poller (epoll — the
+// same multiplexer that drives the d3_node worker serve loop) with an
+// rpc::EventFd registered as the wake-up channel, so submissions from any
+// thread interrupt an idle reactor without polling. With
+// Options::readiness_dispatch the loop pumps stages through
 // OnlineEngine::step_async instead of step(): a stage whose wire ops are
 // still in flight parks, its channel fds join the same epoll set, and the
 // reactor serves other requests until readability resumes it — wire wait
@@ -18,7 +17,9 @@
 // Admission control stacks three policies:
 //   * drop-oldest — Options::admission_capacity bounds the waiting queue; a
 //     new arrival at a full queue evicts the stalest waiting request
-//     (RequestDropped), exactly like BatchScheduler.
+//     (RequestDropped) — the runtime analogue of
+//     sim::StreamOptions::drop_when_busy, where a camera pipeline overwrites
+//     stale frames rather than queueing unboundedly.
 //   * latency-aware shedding — with Options::pipeline set, a request whose
 //     deadline is already beaten by sim::predicted_completion_seconds at its
 //     queue position is refused at submit() (RequestShed): a request doomed
@@ -28,8 +29,8 @@
 //
 // Determinism: each request's stages still run strictly in order, all on the
 // reactor thread, so per-request outputs are bitwise-identical and
-// transcripts byte-identical to OnlineEngine::infer(), BatchScheduler, and
-// each other — regardless of how stages of different requests interleave.
+// transcripts byte-identical to OnlineEngine::infer() — regardless of how
+// stages of different requests interleave.
 // See docs/ARCHITECTURE.md "Serving front end".
 #pragma once
 
@@ -43,16 +44,28 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "rpc/socket.h"
-#include "runtime/batch_scheduler.h"
 #include "runtime/engine.h"
 #include "sim/pipeline.h"
 
 namespace d3::runtime {
+
+// Thrown by wait() for a request that was dropped by admission control.
+class RequestDropped : public std::runtime_error {
+ public:
+  explicit RequestDropped(std::size_t id)
+      : std::runtime_error("ServingReactor: request " + std::to_string(id) +
+                           " dropped by admission control") {}
+
+ protected:
+  // For subclasses with their own story (RequestShed).
+  explicit RequestDropped(const std::string& what) : std::runtime_error(what) {}
+};
 
 // Thrown by wait() for requests refused or abandoned by the latency-aware
 // shedding policy (predicted or actual deadline miss). Derives from
@@ -73,8 +86,12 @@ class ServingReactor {
     std::size_t max_inflight = 1024;
     // Waiting-queue bound with drop-oldest eviction (0 = unbounded).
     std::size_t admission_capacity = 0;
-    // End-to-end replays after a channel death the engine could not absorb
-    // (same contract as BatchScheduler::Options::max_replays).
+    // Full-replay fallback: when admission or a stage fails with
+    // rpc::ChannelDied — the engine's own tier-granular recovery was
+    // disabled, exhausted, or impossible (no reconnect hook) — restart the
+    // request from its retained input up to this many times instead of
+    // failing it. Transcript purity makes the replayed result byte-identical.
+    // 0 = fail the request (the caller re-submits).
     std::size_t max_replays = 0;
     // Deadline applied to submissions that do not carry their own
     // (SubmitOptions::deadline_seconds < 0). 0 = no deadline.
@@ -193,6 +210,16 @@ class ServingReactor {
   };
 
   void reactor_loop();
+  // (Re)opens `ticket`'s continuation from its retained input. A ChannelDied
+  // the engine could not absorb spends one end-to-end replay, so a death
+  // noticed at admission and one noticed mid-stage draw on the same
+  // max_replays budget. Returns false, with ticket.error set, when the ticket
+  // failed instead. Reactor thread, lock not held.
+  bool begin(Ticket& ticket);
+  // Charges the rpc::ChannelDied being handled to ticket's replay budget;
+  // false (ticket.error set to it) once max_replays is spent. Call only from
+  // inside a catch handler. Lock not held.
+  bool spend_replay(Ticket& ticket);
   // The shutdown() shed pass: runs on the reactor thread at the loop top so
   // the single-mutator invariant holds. Lock held.
   void shed_all_locked();

@@ -1,6 +1,5 @@
 // Fixed-size worker pool used by the runtime engine: VSM fused-tile partitions
-// run as real concurrent jobs (one per edge worker node), and the batch
-// scheduler's tier stages borrow it for intra-stage parallelism.
+// run as real concurrent jobs (one per edge worker node).
 //
 // Design: a single FIFO job queue guarded by one mutex. Jobs are opaque
 // std::function<void()>; parallel_for() is the structured entry point the
@@ -8,8 +7,8 @@
 // all happens-before edges the gathered result needs are established by the
 // join, and callers never observe partially-computed tiles. parallel_for is
 // safe to call from multiple threads at once (each call tracks its own
-// completion count), which is what lets a pipelined scheduler share one pool
-// across in-flight requests.
+// completion count), which is what lets concurrent infer() callers share one
+// pool across in-flight requests.
 #pragma once
 
 #include <condition_variable>
@@ -26,7 +25,7 @@ namespace d3::runtime {
 class ThreadPool {
  public:
   // Spawns `num_threads` workers (at least 1). The pool is non-movable: the
-  // engine and scheduler hold references to it.
+  // engine's parallel-for hooks hold references to it.
   explicit ThreadPool(std::size_t num_threads);
   ~ThreadPool();
 

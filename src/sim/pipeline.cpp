@@ -147,13 +147,6 @@ double batch_makespan_seconds(const PipelinePlan& plan, std::size_t frames) {
          static_cast<double>(frames - 1) * plan.bottleneck_stage_seconds();
 }
 
-double pipelining_speedup(const PipelinePlan& plan, std::size_t frames) {
-  if (frames == 0) return 1.0;
-  const double serial = static_cast<double>(frames) * plan.frame_latency_seconds();
-  const double pipelined = batch_makespan_seconds(plan, frames);
-  return pipelined <= 0.0 ? 1.0 : serial / pipelined;
-}
-
 double predicted_completion_seconds(const PipelinePlan& plan, std::size_t queued) {
   return batch_makespan_seconds(plan, queued + 1);
 }

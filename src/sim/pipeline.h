@@ -92,15 +92,10 @@ struct StreamResult {
 StreamResult simulate_stream(const PipelinePlan& plan, const StreamOptions& options = {});
 
 // Closed-form makespan of `frames` requests admitted back-to-back into the
-// pipeline (the runtime::BatchScheduler admission pattern): the first frame's
-// full latency plus one bottleneck period for each following frame once the
-// pipeline is saturated. This is what the concurrency bench compares the
-// measured threaded-engine wall clock against.
+// pipeline: the first frame's full latency plus one bottleneck period for
+// each following frame once the pipeline is saturated. The basis of
+// predicted_completion_seconds.
 double batch_makespan_seconds(const PipelinePlan& plan, std::size_t frames);
-
-// Predicted speedup of admitting `frames` as a pipelined batch over running
-// them strictly one after another (>= 1 when more than one tier does work).
-double pipelining_speedup(const PipelinePlan& plan, std::size_t frames);
 
 // Predicted completion time of a request admitted behind `queued` others: the
 // makespan of a (queued + 1)-frame back-to-back batch — the newcomer finishes

@@ -1,6 +1,6 @@
 // Stress coverage of the concurrent tiered runtime: many in-flight requests
 // across several zoo models through the threaded engine (real VSM tile
-// parallelism) and the pipelined batch scheduler. The paper's losslessness
+// parallelism) and the serving reactor. The paper's losslessness
 // claim must survive concurrency untouched — every output bitwise-equal to the
 // single-node exec::Executor reference — and transcripts must be deterministic:
 // byte-identical across repeated seeded runs and identical to the sequential
@@ -16,8 +16,8 @@
 #include "core/vsm_executor.h"
 #include "dnn/model_zoo.h"
 #include "exec/executor.h"
-#include "runtime/batch_scheduler.h"
 #include "runtime/engine.h"
+#include "runtime/serving_reactor.h"
 #include "runtime/thread_pool.h"
 #include "util/rng.h"
 
@@ -175,44 +175,42 @@ TEST(ConcurrencyStress, RepeatedSeededRunsProduceIdenticalTranscripts) {
   }
 }
 
-TEST(ConcurrencyStress, BatchSchedulerPipelinesManyInFlightRequests) {
+TEST(ConcurrencyStress, ReactorServesManyInFlightRequests) {
   constexpr std::size_t kBatch = 10;
   for (Workload& w : zoo_workloads(kBatch, 31337)) {
     const OnlineEngine engine(w.net, w.weights, w.plan, w.vsm,
                               OnlineEngine::Options{.vsm_workers = 4});
     const OnlineEngine sequential(w.net, w.weights, w.plan, w.vsm);
 
-    BatchScheduler scheduler(engine);
+    ServingReactor reactor(engine);
     for (std::size_t k = 0; k < kBatch; ++k)
-      ASSERT_EQ(scheduler.submit(w.inputs[k]), k) << w.name;
-    EXPECT_EQ(scheduler.submitted(), kBatch);
-    const std::vector<InferenceResult> results = scheduler.drain();
-    EXPECT_EQ(scheduler.completed(), kBatch);
+      ASSERT_EQ(reactor.submit(w.inputs[k]), k) << w.name;
+    EXPECT_EQ(reactor.stats().submitted, kBatch);
+    const std::vector<InferenceResult> results = reactor.drain();
+    EXPECT_EQ(reactor.stats().completed, kBatch);
 
     ASSERT_EQ(results.size(), kBatch);
     for (std::size_t k = 0; k < kBatch; ++k) {
       expect_identical(results[k].output, w.references[k]);
-      // Pipelined execution leaves no trace in the per-request transcript.
+      // Interleaved execution leaves no trace in the per-request transcript.
       const InferenceResult expected = sequential.infer(w.inputs[k]);
       expect_same_transcript(results[k], expected);
     }
   }
 }
 
-TEST(ConcurrencyStress, BatchSchedulerWaitByIdAndErrors) {
+TEST(ConcurrencyStress, ReactorWaitByIdAndErrors) {
   Workload w("tiny_chain", dnn::zoo::tiny_chain(), 2, 55);
   const OnlineEngine engine(w.net, w.weights, w.plan, std::nullopt,
                             OnlineEngine::Options{.vsm_workers = 2});
-  BatchScheduler scheduler(engine);
-  const std::size_t a = scheduler.submit(w.inputs[0]);
-  const std::size_t b = scheduler.submit(w.inputs[1]);
+  ServingReactor reactor(engine);
+  const std::size_t a = reactor.submit(w.inputs[0]);
+  const std::size_t b = reactor.submit(w.inputs[1]);
   // Out-of-order waits are fine; double-collect and unknown ids are errors.
-  expect_identical(scheduler.wait(b).output, w.references[1]);
-  expect_identical(scheduler.wait(a).output, w.references[0]);
-  EXPECT_THROW(scheduler.wait(a), std::logic_error);
-  EXPECT_THROW(scheduler.wait(99), std::out_of_range);
-  // A bad shape is rejected at submit time, before any stage runs.
-  EXPECT_THROW(scheduler.submit(dnn::Tensor(dnn::Shape{1, 2, 2})), std::invalid_argument);
+  expect_identical(reactor.wait(b).output, w.references[1]);
+  expect_identical(reactor.wait(a).output, w.references[0]);
+  EXPECT_THROW(reactor.wait(a), std::logic_error);
+  EXPECT_THROW(reactor.wait(99), std::out_of_range);
 }
 
 TEST(ConcurrencyStress, RunFusedTilesParallelForHookIsLossless) {
@@ -236,35 +234,23 @@ TEST(ConcurrencyStress, RunFusedTilesParallelForHookIsLossless) {
   expect_identical(parallel, core::run_stack_serial(net, weights, input, stack));
 }
 
-TEST(ConcurrencyStress, SchedulerDestructorCompletesInFlightRequests) {
-  // Destroying the scheduler with uncollected requests must finish them (not
-  // strand them between stages) and then join cleanly.
-  Workload w("tiny_chain", dnn::zoo::tiny_chain(), 4, 91);
-  const OnlineEngine engine(w.net, w.weights, w.plan, std::nullopt,
-                            OnlineEngine::Options{.vsm_workers = 2});
-  {
-    BatchScheduler scheduler(engine);
-    for (const dnn::Tensor& input : w.inputs) scheduler.submit(input);
-  }  // no wait()/drain(): the destructor must not hang or drop stage work
-}
-
-TEST(ConcurrencyStress, ConcurrentSubmittersOneScheduler) {
+TEST(ConcurrencyStress, ConcurrentSubmittersOneReactor) {
   Workload w("grid_module", dnn::zoo::grid_module(3, 3), 8, 77);
   const OnlineEngine engine(w.net, w.weights, w.plan, std::nullopt,
                             OnlineEngine::Options{.vsm_workers = 2});
-  BatchScheduler scheduler(engine);
+  ServingReactor reactor(engine);
   std::vector<std::size_t> ids(w.inputs.size());
   std::vector<std::thread> submitters;
   submitters.reserve(4);
   for (std::size_t t = 0; t < 4; ++t) {
     submitters.emplace_back([&, t] {
       for (std::size_t k = t; k < w.inputs.size(); k += 4)
-        ids[k] = scheduler.submit(w.inputs[k]);
+        ids[k] = reactor.submit(w.inputs[k]);
     });
   }
   for (auto& t : submitters) t.join();
   for (std::size_t k = 0; k < w.inputs.size(); ++k)
-    expect_identical(scheduler.wait(ids[k]).output, w.references[k]);
+    expect_identical(reactor.wait(ids[k]).output, w.references[k]);
 }
 
 }  // namespace

@@ -34,8 +34,8 @@
 #include "exec/executor.h"
 #include "rpc/fault_injection.h"
 #include "rpc/socket_transport.h"
-#include "runtime/batch_scheduler.h"
 #include "runtime/engine.h"
+#include "runtime/serving_reactor.h"
 #include "util/rng.h"
 
 #ifndef D3_NODE_BINARY
@@ -73,7 +73,7 @@ void expect_same_transcript(const InferenceResult& a, const InferenceResult& b) 
 }
 
 // Worker cluster + fault-injection wiring. The kill handler and respawn hooks
-// run on engine/scheduler threads, so process bookkeeping is mutex-guarded.
+// run on engine/reactor threads, so process bookkeeping is mutex-guarded.
 struct FaultCluster {
   std::mutex mutex;
   std::map<std::string, std::unique_ptr<rpc::WorkerProcess>> procs;
@@ -480,10 +480,10 @@ TEST(FaultInjection, ConsumerDeathDuringPeerPushRecovers) {
   EXPECT_GE(cluster.socket->stats().reconnects, 1u);
 }
 
-// --- Mid-batch through the scheduler ----------------------------------------
+// --- Mid-batch through the reactor ------------------------------------------
 
 TEST(FaultInjection, MidBatchKillRecoversEveryRequest) {
-  // Six pipelined requests; the edge worker dies inside request #2's edge
+  // Six in-flight requests; the edge worker dies inside request #2's edge
   // stage (7th kRunLayer on edge0 = 4 layers of request #1 + 3 of #2). Every
   // request must still complete bitwise-correct, with no caller-visible
   // failure.
@@ -504,18 +504,18 @@ TEST(FaultInjection, MidBatchKillRecoversEveryRequest) {
   const OnlineEngine engine(c.net, weights, c.assignment, std::nullopt, options);
   const exec::Executor executor(c.net, weights);
 
-  BatchScheduler scheduler(engine);
+  ServingReactor reactor(engine);
   std::vector<dnn::Tensor> frames;
   std::vector<std::size_t> ids;
   for (int i = 0; i < 6; ++i) {
     frames.push_back(exec::random_tensor(c.net.input_shape(), rng));
-    ids.push_back(scheduler.submit(frames.back()));
+    ids.push_back(reactor.submit(frames.back()));
   }
   for (std::size_t i = 0; i < ids.size(); ++i)
-    expect_identical(scheduler.wait(ids[i]).output, executor.run(frames[i]));
+    expect_identical(reactor.wait(ids[i]).output, executor.run(frames[i]));
   EXPECT_EQ(cluster.faults->stats().kills, 1u);
   EXPECT_GE(engine.stats().recoveries, 1u);
-  EXPECT_EQ(scheduler.stats().replayed, 0u);  // recovered in place, not restarted
+  EXPECT_EQ(reactor.stats().replayed, 0u);  // recovered in place, not restarted
 }
 
 // --- Idempotence and benign perturbations -----------------------------------

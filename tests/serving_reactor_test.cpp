@@ -1,10 +1,10 @@
-// Reactor-mode equivalence matrix (ISSUE 6): the same plans pushed through
-// the blocking BatchScheduler and the event-driven ServingReactor must
-// produce bitwise-identical outputs and byte-identical transcripts — on the
+// Serving front-end equivalence matrix: the same plans pushed through the
+// event-driven ServingReactor must produce bitwise-identical outputs and
+// byte-identical transcripts to blocking OnlineEngine::infer() — on the
 // zero-copy in-process transport, over the serializing loopback wire path,
 // with a VSM tile stack, and under mid-request fault injection. Plus the
-// reactor's own serving policies: priority ordering, drop-oldest admission,
-// predictive shedding, and deadline expiry.
+// reactor's own contract: priority ordering, drop-oldest admission,
+// predictive shedding, deadline expiry, and shutdown/destruction.
 #include <chrono>
 #include <memory>
 #include <thread>
@@ -17,7 +17,6 @@
 #include "exec/executor.h"
 #include "rpc/fault_injection.h"
 #include "rpc/transport.h"
-#include "runtime/batch_scheduler.h"
 #include "runtime/engine.h"
 #include "runtime/serving_reactor.h"
 #include "sim/pipeline.h"
@@ -74,36 +73,28 @@ core::Assignment three_tier_plan(const dnn::Network& net) {
   return a;
 }
 
-// Runs `count` requests through both front ends of `engine` and checks every
-// result bitwise and transcript-byte identical to `reference`.
-void expect_front_ends_equivalent(const OnlineEngine& engine, const dnn::Tensor& input,
+// Runs blocking infer() and then `count` reactor requests on `engine`, and
+// checks every result bitwise and transcript-byte identical to `reference`.
+void expect_reactor_matches_infer(const OnlineEngine& engine, const dnn::Tensor& input,
                                   const InferenceResult& reference, std::size_t count = 4) {
-  {
-    BatchScheduler scheduler(engine);
-    std::vector<std::size_t> ids;
-    for (std::size_t i = 0; i < count; ++i) ids.push_back(scheduler.submit(input));
-    for (const std::size_t id : ids) {
-      const InferenceResult result = scheduler.wait(id);
-      expect_identical(result.output, reference.output);
-      expect_same_transcript(result, reference);
-    }
+  const InferenceResult blocking = engine.infer(input);
+  expect_identical(blocking.output, reference.output);
+  expect_same_transcript(blocking, reference);
+
+  ServingReactor reactor(engine);
+  std::vector<std::size_t> ids;
+  for (std::size_t i = 0; i < count; ++i) ids.push_back(reactor.submit(input));
+  for (const std::size_t id : ids) {
+    const InferenceResult result = reactor.wait(id);
+    expect_identical(result.output, reference.output);
+    expect_same_transcript(result, reference);
   }
-  {
-    ServingReactor reactor(engine);
-    std::vector<std::size_t> ids;
-    for (std::size_t i = 0; i < count; ++i) ids.push_back(reactor.submit(input));
-    for (const std::size_t id : ids) {
-      const InferenceResult result = reactor.wait(id);
-      expect_identical(result.output, reference.output);
-      expect_same_transcript(result, reference);
-    }
-    EXPECT_EQ(reactor.stats().completed, count);
-  }
+  EXPECT_EQ(reactor.stats().completed, count);
 }
 
 // --- Equivalence matrix -----------------------------------------------------
 
-TEST(ServingReactorEquivalence, MatchesSchedulerAndInferAcrossTransports) {
+TEST(ServingReactorEquivalence, MatchesInferAcrossTransports) {
   for (const char* which : {"chain", "branch"}) {
     Fixture f(std::string(which) == "chain" ? dnn::zoo::tiny_chain()
                                             : dnn::zoo::tiny_branch());
@@ -112,18 +103,18 @@ TEST(ServingReactorEquivalence, MatchesSchedulerAndInferAcrossTransports) {
     const OnlineEngine in_process(f.net, f.weights, plan);
     const InferenceResult reference = in_process.infer(f.input);
     expect_identical(reference.output, f.reference);
-    expect_front_ends_equivalent(in_process, f.input, reference);
+    expect_reactor_matches_infer(in_process, f.input, reference);
 
     OnlineEngine::Options options;
     options.transport = std::make_shared<rpc::SerializingLoopback>();
     const OnlineEngine wired(f.net, f.weights, plan, std::nullopt, options);
     // The transcript is a pure function of the plan: the wire path must match
-    // the in-process reference byte for byte, through either front end.
-    expect_front_ends_equivalent(wired, f.input, reference);
+    // the in-process reference byte for byte, blocking or served.
+    expect_reactor_matches_infer(wired, f.input, reference);
   }
 }
 
-TEST(ServingReactorEquivalence, MatchesSchedulerWithVsmStackOverLoopback) {
+TEST(ServingReactorEquivalence, MatchesInferWithVsmStackOverLoopback) {
   Fixture f(dnn::zoo::tiny_chain());
   core::Assignment a;
   a.tier.assign(f.net.num_layers() + 1, core::Tier::kCloud);
@@ -140,7 +131,7 @@ TEST(ServingReactorEquivalence, MatchesSchedulerWithVsmStackOverLoopback) {
   options.transport = std::make_shared<rpc::SerializingLoopback>();
   options.vsm_workers = 3;
   const OnlineEngine wired(f.net, f.weights, a, vsm, options);
-  expect_front_ends_equivalent(wired, f.input, reference);
+  expect_reactor_matches_infer(wired, f.input, reference);
 }
 
 // Mid-request state loss at assorted protocol points: the engine's
@@ -238,6 +229,8 @@ TEST(ServingReactorPolicy, HigherPriorityCompletesFirst) {
   ASSERT_EQ(order.size(), 6u);
   for (std::size_t i = 0; i < 3; ++i)
     EXPECT_GE(order[i], low.size()) << "low-priority id finished in the first half";
+  // The default admission queue is unbounded: six waiting requests, no drops.
+  EXPECT_EQ(reactor.stats().dropped, 0u);
 }
 
 TEST(ServingReactorPolicy, DropOldestAdmissionIsDeterministicWhilePaused) {
@@ -376,10 +369,37 @@ TEST(ServingReactorShutdown, InflightRequestsAreShedOrCompletedNeverLost) {
   EXPECT_GE(stats.shutdown_shed, 1u);  // shutdown beat the 10 ms edge stages
 }
 
-TEST(ServingReactorPolicy, WaitIsExactlyOncePerId) {
+TEST(ServingReactorShutdown, DestructorCompletesUncollectedRequests) {
+  // Destroying the reactor with uncollected requests must run every one of
+  // them to completion (the destructor does not shed) and then join. The
+  // loopback counts the boundary messages each request sends, so a stranded
+  // or abandoned request shows up as a missing message.
+  Fixture f(dnn::zoo::tiny_chain());
+  auto loopback = std::make_shared<rpc::SerializingLoopback>();
+  OnlineEngine::Options options;
+  options.transport = loopback;
+  options.emulated_tier_service_seconds = {0.0, 0.005, 0.0};  // keep them in flight
+  const OnlineEngine engine(f.net, f.weights, three_tier_plan(f.net), std::nullopt, options);
+  engine.infer(f.input);
+  const std::uint64_t per_request = loopback->stats().messages;
+  ASSERT_GT(per_request, 0u);
+
+  constexpr std::size_t kRequests = 4;
+  {
+    ServingReactor reactor(engine);
+    for (std::size_t i = 0; i < kRequests; ++i) reactor.submit(f.input);
+  }  // no wait()/drain(): the destructor must not hang or drop stage work
+  EXPECT_EQ(loopback->stats().messages, per_request * (kRequests + 1));
+}
+
+TEST(ServingReactorPolicy, BadShapeIsRefusedAndWaitIsExactlyOncePerId) {
   Fixture f(dnn::zoo::tiny_chain());
   const OnlineEngine engine(f.net, f.weights, three_tier_plan(f.net));
   ServingReactor reactor(engine);
+  // A bad shape is rejected on the caller's thread before an id is handed
+  // out, so it never occupies the queue or a stage.
+  EXPECT_THROW(reactor.submit(dnn::Tensor(dnn::Shape{1, 2, 2})), std::invalid_argument);
+  EXPECT_EQ(reactor.stats().submitted, 0u);
   const std::size_t id = reactor.submit(f.input);
   expect_identical(reactor.wait(id).output, f.reference);
   EXPECT_THROW(reactor.wait(id), std::logic_error);

@@ -26,8 +26,8 @@
 #include "profile/profiler.h"
 #include "rpc/socket_transport.h"
 #include "rpc/wire.h"
-#include "runtime/batch_scheduler.h"
 #include "runtime/engine.h"
+#include "runtime/serving_reactor.h"
 #include "util/rng.h"
 
 #ifndef D3_NODE_BINARY
@@ -46,7 +46,7 @@ void expect_identical(const dnn::Tensor& a, const dnn::Tensor& b) {
 // constructor attaches the classic one-process-per-tier star; tests may also
 // attach named tier nodes and tile-worker shards one by one. `procs` is
 // touched by the main test thread (kill_worker) and by respawn hooks running
-// on scheduler stage threads, so all access goes through `mutex`.
+// on the reactor thread, so all access goes through `mutex`.
 struct Cluster {
   std::mutex mutex;
   std::map<std::string, std::unique_ptr<rpc::WorkerProcess>> procs;
@@ -312,7 +312,7 @@ TEST(SocketTransport, BlockingWalkShipsEachBoundaryOnce) {
             rpc::encode_tensor(frame).size() + rpc::encode_tensor(stem_relu).size());
 }
 
-TEST(SocketTransport, PipelinedSchedulerAcrossProcesses) {
+TEST(SocketTransport, ReactorServesBatchAcrossProcesses) {
   const dnn::Network net = dnn::zoo::tiny_chain();
   const exec::WeightStore weights = exec::WeightStore::random_for(net, 41);
   util::Rng rng(42);
@@ -332,17 +332,18 @@ TEST(SocketTransport, PipelinedSchedulerAcrossProcesses) {
   const OnlineEngine engine(net, weights, assignment, std::nullopt, options);
   const exec::Executor executor(net, weights);
 
-  // Several in-flight requests pipelined across the three worker processes:
-  // per-request isolation on every node, results all bitwise-correct.
-  BatchScheduler scheduler(engine);
+  // Several in-flight requests interleaved across the three worker
+  // processes: per-request isolation on every node, results all
+  // bitwise-correct.
+  ServingReactor reactor(engine);
   std::vector<dnn::Tensor> frames;
   std::vector<std::size_t> ids;
   for (int i = 0; i < 4; ++i) {
     frames.push_back(exec::random_tensor(net.input_shape(), rng));
-    ids.push_back(scheduler.submit(frames.back()));
+    ids.push_back(reactor.submit(frames.back()));
   }
   for (std::size_t i = 0; i < ids.size(); ++i) {
-    const InferenceResult result = scheduler.wait(ids[i]);
+    const InferenceResult result = reactor.wait(ids[i]);
     expect_identical(result.output, executor.run(frames[i]));
   }
 }
@@ -527,9 +528,69 @@ TEST(SocketTransport, WorkerDeathRecoversInPlaceByDefault) {
   EXPECT_EQ(engine.stats().tiers_replayed, 0u);
 }
 
+TEST(SocketTransport, ReactorReplaysChannelDeathAtAdmission) {
+  // A worker killed between requests is first noticed by the next request's
+  // admission (kBegin). With tier recovery off, the reactor's max_replays
+  // budget must cover a death raised at admission exactly like one raised by
+  // a stage: blocking and readiness dispatch both restart the request once on
+  // the respawned worker, bitwise-identical to exec::Executor.
+  const dnn::Network net = dnn::zoo::tiny_chain();
+  const exec::WeightStore weights = exec::WeightStore::random_for(net, 51);
+  util::Rng rng(52);
+  const dnn::Tensor frame = exec::random_tensor(net.input_shape(), rng);
+  const dnn::Tensor reference = exec::Executor(net, weights).run(frame);
+
+  core::Assignment assignment;
+  assignment.tier.assign(net.num_layers() + 1, core::Tier::kCloud);
+  assignment.tier[0] = core::Tier::kDevice;
+  for (const dnn::LayerId id : {0, 1})
+    assignment.tier[dnn::Network::vertex_of(id)] = core::Tier::kDevice;
+  const core::SerializablePlan plan{net.name(), assignment, std::nullopt};
+
+  for (const bool readiness : {false, true}) {
+    SCOPED_TRACE(readiness ? "readiness dispatch" : "blocking");
+    Cluster cluster;
+    cluster.attach("device0");
+    cluster.configure(net, weights, plan, 0);
+    cluster.enable_respawn("device0");
+
+    OnlineEngine::Options options;
+    options.transport = cluster.transport;
+    options.tier_recovery = false;
+    const OnlineEngine engine(net, weights, assignment, std::nullopt, options);
+    const InferenceResult before = engine.infer(frame);
+    cluster.kill_worker("device0");
+
+    ServingReactor::Options serving;
+    serving.max_replays = 2;
+    serving.readiness_dispatch = readiness;
+    ServingReactor reactor(engine, serving);
+    const InferenceResult result = reactor.wait(reactor.submit(frame));
+    expect_identical(result.output, reference);
+    expect_same_transcript(result, before);
+    EXPECT_EQ(reactor.stats().replayed, 1u);
+    EXPECT_EQ(cluster.transport->stats().reconnects, 1u);
+    EXPECT_EQ(engine.stats().recoveries, 0u);
+  }
+}
+
+// Submits six random frames (ids 0-5). Frame 0 carries a higher priority, so
+// the reactor admits the whole burst (admission outranks stepping) and then
+// steps request 0 to completion first: when wait(0) returns, requests 1-5
+// hold open state on every worker but have not yet run their edge stage.
+std::vector<dnn::Tensor> admit_batch_behind_first(ServingReactor& reactor,
+                                                  const dnn::Network& net, util::Rng& rng) {
+  std::vector<dnn::Tensor> frames;
+  for (int i = 0; i < 6; ++i) {
+    frames.push_back(exec::random_tensor(net.input_shape(), rng));
+    reactor.submit(frames.back(), {-1.0, i == 0 ? 1 : 0});
+  }
+  return frames;
+}
+
 TEST(SocketTransport, KillWorkerMidBatchAllRequestsRecover) {
-  // A pipelined batch is in flight across three worker processes when the
-  // edge worker dies. With tier-granular recovery on (the default) no request
+  // A batch is in flight across three worker processes when the edge worker
+  // dies. With tier-granular recovery on (the default) no request
   // fails: whichever stage trips over the dead channel rebuilds the edge
   // node's state and re-runs only the interrupted tier, and every output in
   // the batch stays bitwise-correct.
@@ -557,26 +618,21 @@ TEST(SocketTransport, KillWorkerMidBatchAllRequestsRecover) {
   const OnlineEngine engine(net, weights, assignment, std::nullopt, options);
   const exec::Executor executor(net, weights);
 
-  BatchScheduler scheduler(engine);
-  std::vector<dnn::Tensor> frames;
-  std::vector<std::size_t> ids;
-  for (int i = 0; i < 6; ++i) {
-    frames.push_back(exec::random_tensor(net.input_shape(), rng));
-    ids.push_back(scheduler.submit(frames.back()));
-  }
-  const InferenceResult first = scheduler.wait(ids[0]);
+  ServingReactor reactor(engine);
+  const std::vector<dnn::Tensor> frames = admit_batch_behind_first(reactor, net, rng);
+  const InferenceResult first = reactor.wait(0);
   expect_identical(first.output, executor.run(frames[0]));
   cluster.kill_worker("edge0");
 
-  for (std::size_t i = 1; i < ids.size(); ++i)
-    expect_identical(scheduler.wait(ids[i]).output, executor.run(frames[i]));
+  for (std::size_t i = 1; i < frames.size(); ++i)
+    expect_identical(reactor.wait(i).output, executor.run(frames[i]));
   EXPECT_GE(cluster.transport->stats().reconnects, 1u);
   EXPECT_GE(engine.stats().recoveries, 1u);
 }
 
-TEST(SocketTransport, SchedulerReplaysWhenEngineRecoveryIsOff) {
-  // The scheduler-level fallback: tier recovery disabled, but
-  // Options::max_replays lets the scheduler restart a ChannelDied request from
+TEST(SocketTransport, ReactorReplaysWhenEngineRecoveryIsOff) {
+  // The front-end fallback: tier recovery disabled, but
+  // Options::max_replays lets the reactor restart a ChannelDied request from
   // its retained input — the batch still completes with every output
   // bitwise-correct and no caller-visible failure.
   const dnn::Network net = dnn::zoo::tiny_chain();
@@ -602,23 +658,18 @@ TEST(SocketTransport, SchedulerReplaysWhenEngineRecoveryIsOff) {
   const OnlineEngine engine(net, weights, assignment, std::nullopt, options);
   const exec::Executor executor(net, weights);
 
-  BatchScheduler::Options sched_options;
-  sched_options.max_replays = 2;
-  BatchScheduler scheduler(engine, sched_options);
-  std::vector<dnn::Tensor> frames;
-  std::vector<std::size_t> ids;
-  for (int i = 0; i < 6; ++i) {
-    frames.push_back(exec::random_tensor(net.input_shape(), rng));
-    ids.push_back(scheduler.submit(frames.back()));
-  }
-  const InferenceResult first = scheduler.wait(ids[0]);
+  ServingReactor::Options serving;
+  serving.max_replays = 2;
+  ServingReactor reactor(engine, serving);
+  const std::vector<dnn::Tensor> frames = admit_batch_behind_first(reactor, net, rng);
+  const InferenceResult first = reactor.wait(0);
   expect_identical(first.output, executor.run(frames[0]));
   cluster.kill_worker("edge0");
 
-  for (std::size_t i = 1; i < ids.size(); ++i)
-    expect_identical(scheduler.wait(ids[i]).output, executor.run(frames[i]));
+  for (std::size_t i = 1; i < frames.size(); ++i)
+    expect_identical(reactor.wait(i).output, executor.run(frames[i]));
   EXPECT_GE(cluster.transport->stats().reconnects, 1u);
-  EXPECT_GE(scheduler.stats().replayed, 1u);
+  EXPECT_GE(reactor.stats().replayed, 1u);
   EXPECT_EQ(engine.stats().recoveries, 0u);
 }
 

@@ -2,7 +2,7 @@
 // outputs and byte-identical transcripts on the zero-copy InProcessTransport
 // and on SerializingLoopback (where every inter-node tensor round-trips the
 // binary wire format) — the in-process half of the "losslessness survives the
-// wire" story. Also covers the BatchScheduler's bounded admission queue.
+// wire" story. Also serves a burst through the ServingReactor front end.
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -11,8 +11,8 @@
 #include "dnn/model_zoo.h"
 #include "exec/executor.h"
 #include "rpc/transport.h"
-#include "runtime/batch_scheduler.h"
 #include "runtime/engine.h"
+#include "runtime/serving_reactor.h"
 #include "util/rng.h"
 
 namespace d3::runtime {
@@ -144,7 +144,7 @@ TEST(TransportEngine, LoopbackHandlesDeferredCrossTierConsumer) {
   expect_same_transcript(wired, reference);
 }
 
-TEST(TransportEngine, StagedApiAndSchedulerWorkOverLoopback) {
+TEST(TransportEngine, StagedApiAndReactorWorkOverLoopback) {
   Fixture f(dnn::zoo::tiny_branch());
   const core::Assignment plan = three_tier_plan(f.net);
   auto loopback = std::make_shared<rpc::SerializingLoopback>();
@@ -152,80 +152,13 @@ TEST(TransportEngine, StagedApiAndSchedulerWorkOverLoopback) {
   options.transport = loopback;
   const OnlineEngine engine(f.net, f.weights, plan, std::nullopt, options);
 
-  BatchScheduler scheduler(engine);
+  ServingReactor reactor(engine);
   std::vector<std::size_t> ids;
-  for (int i = 0; i < 4; ++i) ids.push_back(scheduler.submit(f.input));
+  for (int i = 0; i < 4; ++i) ids.push_back(reactor.submit(f.input));
   for (const std::size_t id : ids) {
-    const InferenceResult result = scheduler.wait(id);
+    const InferenceResult result = reactor.wait(id);
     expect_identical(result.output, f.reference);
   }
-}
-
-// --- Bounded admission (drop-oldest) ----------------------------------------
-
-TEST(BatchSchedulerAdmission, DropsOldestWaitingRequestWhenFull) {
-  Fixture f(dnn::zoo::tiny_chain());
-  // Slow device stage so submissions outpace the pipeline deterministically.
-  OnlineEngine::Options options;
-  options.emulated_tier_service_seconds = {0.05, 0.0, 0.0};
-  const OnlineEngine engine(f.net, f.weights, three_tier_plan(f.net), std::nullopt, options);
-
-  BatchScheduler::Options admission;
-  admission.admission_capacity = 1;  // the simulator's depth-1 drop-oldest source
-  BatchScheduler scheduler(engine, admission);
-
-  constexpr std::size_t kBurst = 6;
-  std::vector<std::size_t> ids;
-  for (std::size_t i = 0; i < kBurst; ++i) ids.push_back(scheduler.submit(f.input));
-
-  std::size_t completed = 0, dropped = 0;
-  for (const std::size_t id : ids) {
-    try {
-      const InferenceResult result = scheduler.wait(id);
-      expect_identical(result.output, f.reference);
-      ++completed;
-    } catch (const RequestDropped&) {
-      ++dropped;
-    }
-  }
-  // A burst of 6 against a depth-1 queue must shed something, and the newest
-  // request (admitted last, never the eviction victim at admission time) wins.
-  EXPECT_GT(dropped, 0u);
-  EXPECT_EQ(completed + dropped, kBurst);
-
-  const BatchScheduler::Stats stats = scheduler.stats();
-  EXPECT_EQ(stats.submitted, kBurst);
-  EXPECT_EQ(stats.dropped, dropped);
-  EXPECT_EQ(stats.completed, completed);
-  EXPECT_EQ(scheduler.completed(), kBurst);
-}
-
-TEST(BatchSchedulerAdmission, DrainSkipsDroppedRequests) {
-  Fixture f(dnn::zoo::tiny_chain());
-  OnlineEngine::Options options;
-  options.emulated_tier_service_seconds = {0.05, 0.0, 0.0};
-  const OnlineEngine engine(f.net, f.weights, three_tier_plan(f.net), std::nullopt, options);
-
-  BatchScheduler::Options admission;
-  admission.admission_capacity = 1;
-  BatchScheduler scheduler(engine, admission);
-  for (int i = 0; i < 5; ++i) scheduler.submit(f.input);
-  const std::vector<InferenceResult> results = scheduler.drain();
-
-  const BatchScheduler::Stats stats = scheduler.stats();
-  EXPECT_EQ(results.size(), stats.completed);
-  EXPECT_EQ(stats.completed + stats.dropped, 5u);
-  EXPECT_GT(stats.dropped, 0u);
-  for (const InferenceResult& result : results) expect_identical(result.output, f.reference);
-}
-
-TEST(BatchSchedulerAdmission, UnboundedQueueNeverDrops) {
-  Fixture f(dnn::zoo::tiny_chain());
-  const OnlineEngine engine(f.net, f.weights, three_tier_plan(f.net));
-  BatchScheduler scheduler(engine);  // default: unbounded
-  for (int i = 0; i < 8; ++i) scheduler.submit(f.input);
-  EXPECT_EQ(scheduler.drain().size(), 8u);
-  EXPECT_EQ(scheduler.stats().dropped, 0u);
 }
 
 }  // namespace
