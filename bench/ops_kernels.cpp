@@ -127,7 +127,7 @@ struct Result {
 Tensor run_kernel(const Workload& wl, const Tensor& in, const LayerWeights& w,
                   const d3::exec::OpContext& ctx) {
   if (wl.kind == "conv") return d3::exec::conv2d(in, wl.spec, w, ctx);
-  if (wl.kind == "fc") return d3::exec::fully_connected(in, wl.spec, w);
+  if (wl.kind == "fc") return d3::exec::fully_connected(in, wl.spec, w, ctx);
   return d3::exec::pool2d(in, wl.spec);
 }
 

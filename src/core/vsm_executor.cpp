@@ -47,7 +47,7 @@ exec::Tile extract_tile_input(const dnn::Tensor& stack_input, const FusedTilePla
 
 exec::Tile run_single_tile(const dnn::Network& net, const exec::WeightStore& weights,
                            const exec::Tile& input, const FusedTilePlan& plan,
-                           std::size_t tile_index) {
+                           std::size_t tile_index, const exec::OpContext& ctx) {
   const FusedTilePlan::TilePlan& tile_plan = plan.tiles.at(tile_index);
   exec::Tile current = input;
   for (std::size_t j = 0; j < plan.stack.size(); ++j) {
@@ -57,7 +57,8 @@ exec::Tile run_single_tile(const dnn::Network& net, const exec::WeightStore& wei
     const auto [full_w, full_h] = full_out_extent(plan, j);
     switch (spec.kind) {
       case dnn::LayerKind::kConv:
-        current = exec::conv2d_region(current, spec, weights.layer(id), out, full_w, full_h);
+        current =
+            exec::conv2d_region(current, spec, weights.layer(id), out, full_w, full_h, ctx);
         break;
       case dnn::LayerKind::kMaxPool:
       case dnn::LayerKind::kAvgPool:
@@ -78,11 +79,12 @@ exec::Tile run_single_tile(const dnn::Network& net, const exec::WeightStore& wei
 
 dnn::Tensor run_fused_tiles(const dnn::Network& net, const exec::WeightStore& weights,
                             const dnn::Tensor& stack_input, const FusedTilePlan& plan,
-                            const TileParallelFor& parallel_for) {
+                            const exec::ParallelFor& parallel_for,
+                            const exec::OpContext& ctx) {
   std::vector<exec::Tile> out_tiles(plan.num_tiles());
   const auto compute = [&](std::size_t t) {
     const exec::Tile input = extract_tile_input(stack_input, plan, t);
-    out_tiles[t] = run_single_tile(net, weights, input, plan, t);
+    out_tiles[t] = run_single_tile(net, weights, input, plan, t, ctx);
   };
   if (parallel_for) {
     parallel_for(plan.num_tiles(), compute);

@@ -8,21 +8,12 @@
 // test suite asserts.
 #pragma once
 
-#include <functional>
-
 #include "core/vsm.h"
 #include "dnn/tensor.h"
+#include "exec/ops.h"
 #include "exec/weights.h"
 
 namespace d3::core {
-
-// Parallelism hook for tile execution: invoked as parallel_for(n, body) and
-// expected to run body(0..n-1) (in any order, possibly concurrently) and
-// return only when all calls finished. runtime::ThreadPool::parallel_for
-// satisfies this contract; an empty function means a serial loop. Keeping the
-// hook a plain std::function lets core stay independent of the runtime layer.
-using TileParallelFor =
-    std::function<void(std::size_t, const std::function<void(std::size_t)>&)>;
 
 // Extracts the input crop one edge node needs for `tile_index` (what the
 // online engine would scatter to that node).
@@ -30,18 +21,25 @@ exec::Tile extract_tile_input(const dnn::Tensor& stack_input, const FusedTilePla
                               std::size_t tile_index);
 
 // Runs the whole stack for one tile, returning its slice of ck's output.
+// `ctx` reaches the tile's conv kernels (intra-op parallel_for, arena); the
+// default serial context is the reference path, and any context gives the
+// same bits.
 exec::Tile run_single_tile(const dnn::Network& net, const exec::WeightStore& weights,
                            const exec::Tile& input, const FusedTilePlan& plan,
-                           std::size_t tile_index);
+                           std::size_t tile_index, const exec::OpContext& ctx = {});
 
 // Scatter + per-tile execution + gather: the full output feature map of ck.
 // `stack_input` must match the stack's first-layer input shape. When
 // `parallel_for` is non-empty the per-tile stacks run under it (each tile
 // writes only its own slot, so any schedule is race-free); the gathered result
 // is bitwise-identical either way because assembly is always in tile order.
+// `ctx` is passed to every tile's run_single_tile. Both hooks may be the same
+// pool: a nested ThreadPool::parallel_for cannot deadlock because its caller
+// helps drain the queue.
 dnn::Tensor run_fused_tiles(const dnn::Network& net, const exec::WeightStore& weights,
                             const dnn::Tensor& stack_input, const FusedTilePlan& plan,
-                            const TileParallelFor& parallel_for = {});
+                            const exec::ParallelFor& parallel_for = {},
+                            const exec::OpContext& ctx = {});
 
 // Serial reference: the same stack run on the whole input (no tiling).
 dnn::Tensor run_stack_serial(const dnn::Network& net, const exec::WeightStore& weights,

@@ -335,6 +335,7 @@ std::vector<Network> paper_models() {
 Network by_name(const std::string& name) {
   if (name == "tiny-chain") return tiny_chain();
   if (name == "tiny-branch") return tiny_branch();
+  if (name == "wide-chain") return wide_chain();
   if (name == "grid-module") return grid_module();
   if (name == "AlexNet") return alexnet();
   if (name == "VGG-16") return vgg16();
@@ -395,6 +396,19 @@ Network tiny_branch() {
   x = net.global_avg_pool("gap", x);
   x = net.fully_connected("fc", x, 10);
   net.softmax("softmax", x);
+  return net;
+}
+
+Network wide_chain() {
+  Network net("wide-chain", Shape{16, 24, 24});
+  LayerId x = net.conv("conv1", kNetworkInput, 64, 3, 1, 1);
+  x = net.relu("relu1", x);
+  x = net.conv("conv2", x, 64, 3, 1, 1);
+  x = net.relu("relu2", x);
+  x = net.max_pool("pool1", x, 2, 2);
+  x = net.fully_connected("fc1", x, 250);
+  x = net.relu("relu3", x);
+  net.fully_connected("fc2", x, 10);
   return net;
 }
 

@@ -40,6 +40,10 @@ Network grid_module(int h = 8, int w = 8);
 // Small executable networks for tests and the quickstart example.
 Network tiny_chain();   // conv/pool/fc chain on 3x32x32
 Network tiny_branch();  // two-branch concat DAG on 3x16x16
+// conv/pool/fc chain on 16x24x24 whose convs and fc1 each cross the kernels'
+// intra-op parallelism threshold (1 << 20 MACs; fc1 has a ragged 250 rows),
+// so multi-process tests run parallel GEMM/GEMV tasks inside real workers.
+Network wide_chain();
 
 // A bare stack of convolutional layers (each `channels[i]` with the matching
 // window), the canonical VSM workload. No activation layers.

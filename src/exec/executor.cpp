@@ -18,7 +18,7 @@ dnn::Tensor run_layer(const dnn::Network& net, const WeightStore& weights, dnn::
     case dnn::LayerKind::kMaxPool:
     case dnn::LayerKind::kAvgPool: return pool2d(*ins[0], spec);
     case dnn::LayerKind::kGlobalAvgPool: return global_avg_pool(*ins[0]);
-    case dnn::LayerKind::kFullyConnected: return fully_connected(*ins[0], spec, w);
+    case dnn::LayerKind::kFullyConnected: return fully_connected(*ins[0], spec, w, ctx);
     case dnn::LayerKind::kReLU: return relu(*ins[0]);
     case dnn::LayerKind::kBatchNorm: return batch_norm(*ins[0], w);
     case dnn::LayerKind::kConcat: return concat(ins);

@@ -26,12 +26,12 @@ class Executor {
   Executor(const dnn::Network& net, const WeightStore& weights);
 
   // Installs an intra-op parallelism hook (e.g. a lambda over
-  // runtime::ThreadPool::parallel_for): the conv kernels split their output
-  // into disjoint blocks across it, so a single request uses all cores.
-  // Outputs are bitwise-identical with or without the hook. Not thread-safe
-  // against concurrent run* calls — install during setup. The hook itself must
-  // tolerate concurrent callers if the executor is shared across threads
-  // (ThreadPool::parallel_for does).
+  // runtime::ThreadPool::parallel_for): the conv and fully-connected
+  // kernels split their output into disjoint blocks across it, so a single
+  // request uses all cores. Outputs are bitwise-identical with or without the
+  // hook. Not thread-safe against concurrent run* calls — install during
+  // setup. The hook itself must tolerate concurrent callers if the executor is
+  // shared across threads (ThreadPool::parallel_for does).
   void set_parallel_for(ParallelFor parallel_for) { parallel_for_ = std::move(parallel_for); }
 
   // Runs the whole network; returns the output of the last layer. All run*

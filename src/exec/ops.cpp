@@ -480,30 +480,25 @@ dnn::Tensor global_avg_pool(const dnn::Tensor& input) {
   return out;
 }
 
-dnn::Tensor fully_connected(const dnn::Tensor& input, const dnn::LayerSpec& spec,
-                            const LayerWeights& w) {
-  require(spec.kind == dnn::LayerKind::kFullyConnected, "fully_connected: bad spec");
-  const std::size_t in_n = input.size();
-  const std::size_t out_n = static_cast<std::size_t>(spec.out_features);
-  require(w.weights.size() == in_n * out_n, "fully_connected: weight size mismatch");
-  require(w.bias.size() == out_n, "fully_connected: bias size mismatch");
-  dnn::Tensor out(dnn::Shape{spec.out_features, 1, 1});
-  const float* weights = w.weights.data();
-  const float* x = input.data();
-  // Blocked GEMV: four output rows share each streamed pass over the input, so
-  // the input vector is loaded once per block instead of once per output. Each
-  // output keeps its own ascending-index accumulation chain (bitwise-identical
-  // to the reference row loop).
-  std::size_t o = 0;
-  for (; o + 4 <= out_n; o += 4) {
+namespace {
+
+// Output rows [o0, o1) of the blocked GEMV: four rows share each streamed pass
+// over the input, so the input vector is loaded once per block instead of once
+// per output. Each output keeps its own ascending-index accumulation chain
+// (bitwise-identical to the reference row loop), so rows may be split across
+// threads in any way that keeps o0 a multiple of 4.
+void gemv_rows(const float* weights, const float* bias, const float* x, std::size_t in_n,
+               std::size_t o0, std::size_t o1, float* out) {
+  std::size_t o = o0;
+  for (; o + 4 <= o1; o += 4) {
     const float* r0 = weights + o * in_n;
     const float* r1 = r0 + in_n;
     const float* r2 = r1 + in_n;
     const float* r3 = r2 + in_n;
-    float a0 = w.bias[o];
-    float a1 = w.bias[o + 1];
-    float a2 = w.bias[o + 2];
-    float a3 = w.bias[o + 3];
+    float a0 = bias[o];
+    float a1 = bias[o + 1];
+    float a2 = bias[o + 2];
+    float a3 = bias[o + 3];
     for (std::size_t i = 0; i < in_n; ++i) {
       const float v = x[i];
       a0 += r0[i] * v;
@@ -516,12 +511,42 @@ dnn::Tensor fully_connected(const dnn::Tensor& input, const dnn::LayerSpec& spec
     out[o + 2] = a2;
     out[o + 3] = a3;
   }
-  for (; o < out_n; ++o) {
+  for (; o < o1; ++o) {
     const float* row = weights + o * in_n;
-    float acc = w.bias[o];
+    float acc = bias[o];
     for (std::size_t i = 0; i < in_n; ++i) acc += row[i] * x[i];
     out[o] = acc;
   }
+}
+
+}  // namespace
+
+dnn::Tensor fully_connected(const dnn::Tensor& input, const dnn::LayerSpec& spec,
+                            const LayerWeights& w, const OpContext& ctx) {
+  require(spec.kind == dnn::LayerKind::kFullyConnected, "fully_connected: bad spec");
+  const std::size_t in_n = input.size();
+  const std::size_t out_n = static_cast<std::size_t>(spec.out_features);
+  require(w.weights.size() == in_n * out_n, "fully_connected: weight size mismatch");
+  require(w.bias.size() == out_n, "fully_connected: bias size mismatch");
+  dnn::Tensor out(dnn::Shape{spec.out_features, 1, 1});
+  const float* weights = w.weights.data();
+  const float* x = input.data();
+  const std::int64_t macs = static_cast<std::int64_t>(in_n * out_n);
+  const ParallelFor* parallel = ctx.parallel_for;
+  if (!parallel || !*parallel || macs < kParallelMacThreshold) {
+    gemv_rows(weights, w.bias.data(), x, in_n, 0, out_n, out.data());
+    return out;
+  }
+  // Tasks of whole 4-row blocks, each worth at least kParallelMacThreshold
+  // MACs; the last task also takes the ragged tail (out_n % 4 rows).
+  const std::size_t blocks = out_n / 4;
+  const std::size_t want = static_cast<std::size_t>(macs / kParallelMacThreshold);
+  const std::size_t rows = std::max<std::size_t>(1, (blocks + want - 1) / want) * 4;
+  const std::size_t n_tasks = (out_n + rows - 1) / rows;
+  (*parallel)(n_tasks, [&](std::size_t t) {
+    gemv_rows(weights, w.bias.data(), x, in_n, t * rows, std::min(out_n, (t + 1) * rows),
+              out.data());
+  });
   return out;
 }
 

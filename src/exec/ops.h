@@ -17,7 +17,8 @@
 // register-tiled, cache-blocked GEMM over the packed patches. Pooling splits
 // each output row into border segments (reference-order scalar loop) and an
 // interior fast path (branch-free, vectorised across output pixels).
-// Fully-connected is a blocked GEMV; concat is a straight memcpy; the
+// Fully-connected is a blocked GEMV whose 4-row blocks split across the
+// intra-op hook like conv's GEMM tasks; concat is a straight memcpy; the
 // elementwise ops are flat vectorisable loops. Scratch comes from an
 // exec::Arena (see arena.h) so the steady-state compute path never mallocs.
 //
@@ -39,8 +40,8 @@ class Arena;
 
 // Intra-op parallelism hook: invoked as parallel_for(n, body), expected to run
 // body(0..n-1) (in any order, possibly concurrently) and return only when all
-// calls finished — the same contract as core::TileParallelFor, satisfied by
-// runtime::ThreadPool::parallel_for. Kernels split work into blocks of
+// calls finished — satisfied by runtime::ThreadPool::parallel_for, and also
+// how core::run_fused_tiles spreads VSM tiles. Kernels split work into blocks of
 // *disjoint* output elements, each accumulated in reference order, so results
 // are bitwise-identical for any schedule (and for serial execution).
 using ParallelFor = std::function<void(std::size_t, const std::function<void(std::size_t)>&)>;
@@ -115,7 +116,7 @@ dnn::Tensor conv2d(const dnn::Tensor& input, const dnn::LayerSpec& spec,
 dnn::Tensor pool2d(const dnn::Tensor& input, const dnn::LayerSpec& spec);
 dnn::Tensor global_avg_pool(const dnn::Tensor& input);
 dnn::Tensor fully_connected(const dnn::Tensor& input, const dnn::LayerSpec& spec,
-                            const LayerWeights& w);
+                            const LayerWeights& w, const OpContext& ctx = {});
 dnn::Tensor relu(const dnn::Tensor& input);
 dnn::Tensor batch_norm(const dnn::Tensor& input, const LayerWeights& w);
 // Move-aware overloads: operate in place on the argument's storage instead of

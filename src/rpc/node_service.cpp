@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <thread>
 #include <unistd.h>
@@ -153,7 +153,6 @@ class NodeService {
     plan_hash_ = fnv1a(bundle.plan_bytes);
     weights_hash_ = bundle.weights_hash;
     vsm_workers_ = bundle.vsm_workers;
-    make_pool(bundle.vsm_workers);
   }
 
   // Accepts one dialled peer channel: the first frame must be kPeerHello with
@@ -334,27 +333,15 @@ class NodeService {
     plan_hash_ = plan_hash;
     weights_hash_ = weights_hash;
     vsm_workers_ = vsm_workers;
-    make_pool(vsm_workers);
     requests_.clear();
     return ok();
-  }
-
-  void make_pool(std::uint32_t vsm_workers) {
-    if (vsm_workers > 0) {
-      pool_ = std::make_unique<runtime::ThreadPool>(vsm_workers);
-      tile_parallel_ = [pool = pool_.get()](std::size_t n,
-                                            const std::function<void(std::size_t)>& body) {
-        pool->parallel_for(n, body);
-      };
-    } else {
-      pool_.reset();
-      tile_parallel_ = {};
-    }
   }
 
   void require_configured() const {
     if (!net_) throw WireError("node: not configured");
   }
+
+  exec::OpContext op_context() const { return exec::OpContext{nullptr, &parallel_}; }
 
   RequestSlots& request(std::uint64_t id) {
     const auto it = requests_.find(id);
@@ -440,7 +427,7 @@ class NodeService {
     ins.reserve(net_->layer(layer).inputs.size());
     for (const dnn::LayerId in : net_->layer(layer).inputs)
       ins.push_back(&slot_tensor(req, in == dnn::kNetworkInput ? 0 : in + 1));
-    req.slots[layer + 1] = exec::run_layer(*net_, weights_, layer, ins);
+    req.slots[layer + 1] = exec::run_layer(*net_, weights_, layer, ins, op_context());
     return ok();
   }
 
@@ -454,11 +441,14 @@ class NodeService {
     const dnn::LayerId in_id = net_->layer(vsm.stack.front()).inputs[0];
     const dnn::Tensor& stack_input =
         slot_tensor(req, in_id == dnn::kNetworkInput ? 0 : in_id + 1);
-    // Scatter, per-tile fused execution (across this node's own worker pool)
-    // and tile-order gather, all inside this process: intra-edge traffic never
-    // touches the coordinator, exactly like the paper's edge cluster.
+    // Scatter, per-tile fused execution and tile-order gather, all inside
+    // this process: intra-edge traffic never touches the coordinator, exactly
+    // like the paper's edge cluster. The kernels always split across the
+    // compute pool; vsm_workers > 0 also runs the tiles concurrently on it.
+    const exec::ParallelFor serial_tiles;
     req.slots[vsm.stack.back() + 1] =
-        core::run_fused_tiles(*net_, weights_, stack_input, vsm, tile_parallel_);
+        core::run_fused_tiles(*net_, weights_, stack_input, vsm,
+                              vsm_workers_ > 0 ? parallel_ : serial_tiles, op_context());
     return ok();
   }
 
@@ -634,7 +624,7 @@ class NodeService {
     input.full_w = vsm.input_shapes.front().w;
     input.full_h = vsm.input_shapes.front().h;
     req.tile_out[tile] =
-        core::run_single_tile(*net_, weights_, input, vsm, tile).data;
+        core::run_single_tile(*net_, weights_, input, vsm, tile, op_context()).data;
     return ok();
   }
 
@@ -678,8 +668,15 @@ class NodeService {
   std::optional<dnn::Network> net_;
   exec::WeightStore weights_;
   std::optional<core::SerializablePlan> plan_;
-  std::unique_ptr<runtime::ThreadPool> pool_;
-  core::TileParallelFor tile_parallel_;
+  // One compute pool for the worker's whole life, as wide as the CPUs this
+  // process may run on: every kernel splits its GEMM/GEMV blocks across it
+  // through op_context().
+  runtime::ThreadPool pool_{runtime::ThreadPool::hardware_threads()};
+  const exec::ParallelFor parallel_ = [pool = &pool_](
+                                          std::size_t n,
+                                          const std::function<void(std::size_t)>& body) {
+    pool->parallel_for(n, body);
+  };
   std::map<std::uint64_t, RequestSlots> requests_;
   Socket peer_listener_;
   std::uint16_t peer_port_ = 0;

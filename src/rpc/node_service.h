@@ -3,11 +3,18 @@
 // A node process is a passive responder driven by an epoll loop (rpc::Poller)
 // over three fd classes: the coordinator connection, the node's peer listener,
 // and any inbound peer channels. After kConfig ships it the model name (resolved
-// against the shared zoo), the full weights, the deployment plan and its pool
-// width, it holds per-request slot state (slot 0 = raw input, slot i+1 =
+// against the shared zoo), the full weights, the deployment plan and
+// vsm_workers, it holds per-request slot state (slot 0 = raw input, slot i+1 =
 // layer i's output, plus per-tile VSM state for edge fan-out workers) and
 // answers the coordinator's kPut / kRunLayer / kRunStack / kGet / kPutTile /
 // kRunTile / kGetTile / kEnd requests until EOF or kShutdown.
+//
+// Compute: each node process owns one runtime::ThreadPool for its whole life,
+// ThreadPool::hardware_threads() wide (the CPUs its affinity mask allows).
+// Every kernel it runs — kRunLayer, kRunStack, kRunTile — splits its GEMM/GEMV
+// blocks across that pool through exec::OpContext, with bits identical to the
+// serial kernels. vsm_workers > 0 additionally runs a kRunStack's tiles
+// concurrently on the same pool.
 //
 // Peer channels (kPeerListen / kConnectPeer / kPushPeer) let a node ship a
 // boundary tensor straight to the next tier's node: the coordinator still

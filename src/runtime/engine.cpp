@@ -369,7 +369,8 @@ void OnlineEngine::run_vsm_stack(RequestState& state) const {
     if (options_.emulated_tile_service_seconds > 0.0)
       std::this_thread::sleep_for(
           std::chrono::duration<double>(options_.emulated_tile_service_seconds));
-    tile_outputs[t] = core::run_single_tile(net_, weights_, tile_inputs[t], *vsm_, t);
+    tile_outputs[t] =
+        core::run_single_tile(net_, weights_, tile_inputs[t], *vsm_, t, op_context());
   };
   // Tiles go parallel only when vsm_workers asked for it, and at exactly that
   // width: the pool may be larger (intra_op_workers shares it), but the edge

@@ -115,10 +115,11 @@ class OnlineEngine {
     // nodes of Fig. 8). 0 = sequential tile loop on the coordinator thread.
     std::size_t vsm_workers = 0;
     // Number of pool threads the per-layer kernels may use *within* one layer
-    // (conv GEMM blocks split across the pool), so a single request's latency
-    // scales with cores even without VSM tiling. 0 = serial kernels. Shares
-    // one pool with vsm_workers (sized to the larger of the two); outputs and
-    // transcripts are bitwise-identical either way.
+    // (conv GEMM and fc row blocks split across the pool, VSM tiles' convs
+    // included), so a single request's latency scales with cores even without
+    // VSM tiling. 0 = serial kernels. Shares one pool with vsm_workers (sized
+    // to the larger of the two); outputs and transcripts are bitwise-identical
+    // either way.
     std::size_t intra_op_workers = 0;
     // Emulated per-tile edge-node service latency (seconds), added to each
     // tile's compute. The paper's edge pool is separate physical machines; on

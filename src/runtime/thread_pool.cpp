@@ -1,5 +1,7 @@
 #include "runtime/thread_pool.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <utility>
@@ -118,6 +120,12 @@ void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_
 }
 
 std::size_t ThreadPool::hardware_threads() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    const int n = CPU_COUNT(&set);
+    if (n > 0) return static_cast<std::size_t>(n);
+  }
   const unsigned n = std::thread::hardware_concurrency();
   return n == 0 ? 1 : static_cast<std::size_t>(n);
 }

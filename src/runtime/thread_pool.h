@@ -1,5 +1,6 @@
-// Fixed-size worker pool used by the runtime engine: VSM fused-tile partitions
-// run as real concurrent jobs (one per edge worker node).
+// Fixed-size worker pool used by the runtime engine — VSM fused-tile partitions
+// run as real concurrent jobs (one per edge worker node) — and by every d3_node
+// worker as the compute pool its kernels split across.
 //
 // Design: a single FIFO job queue guarded by one mutex. Jobs are opaque
 // std::function<void()>; parallel_for() is the structured entry point the
@@ -47,8 +48,9 @@ class ThreadPool {
   // caller after all indices finish; the rest are dropped.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
 
-  // Number of hardware threads, with a floor of 1 (hardware_concurrency may
-  // report 0 on exotic platforms).
+  // CPUs this process may run on: the calling thread's sched_getaffinity
+  // mask, so taskset/cpuset pinning narrows it. Falls back to
+  // hardware_concurrency when the mask is unavailable, with a floor of 1.
   static std::size_t hardware_threads();
 
  private:

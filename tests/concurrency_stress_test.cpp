@@ -157,6 +157,31 @@ TEST(ConcurrencyStress, IntraOpParallelEngineIsBitwiseIdenticalToSequential) {
   }
 }
 
+TEST(ConcurrencyStress, IntraOpEngineSplitsVsmTileKernelsLosslessly) {
+  // Local VSM tiles get the engine's intra-op context: with a conv stack whose
+  // per-tile convs cross the kernels' parallelism threshold, each tile's GEMM
+  // splits across the pool the tile lanes also run on (nested parallel_for).
+  // Only the tiles cross it: the cloud's 1x1 conv3 stays serial. Outputs must
+  // stay bitwise-equal to Executor and the transcript byte-identical to the
+  // sequential engine's.
+  const dnn::Window w3{3, 3, 1, 1, 1, 1};
+  Workload w("par_conv_stack",
+             dnn::zoo::conv_stack("par-conv-stack", dnn::Shape{16, 32, 32},
+                                  {{64, w3}, {64, w3}, {1, dnn::Window{1, 1, 1, 1, 0, 0}}}),
+             3, 909);
+  w.tile_edge_prefix(2, 2, 2);  // conv1+conv2 as 2x2 tiles on the edge, conv3 in the cloud
+  ASSERT_TRUE(w.vsm.has_value());
+  const OnlineEngine sequential(w.net, w.weights, w.plan, w.vsm);
+  const OnlineEngine both(w.net, w.weights, w.plan, w.vsm,
+                          OnlineEngine::Options{.vsm_workers = 2, .intra_op_workers = 4});
+  for (std::size_t k = 0; k < w.inputs.size(); ++k) {
+    const InferenceResult a = sequential.infer(w.inputs[k]);
+    const InferenceResult b = both.infer(w.inputs[k]);
+    expect_identical(b.output, w.references[k]);
+    expect_same_transcript(a, b);
+  }
+}
+
 TEST(ConcurrencyStress, RepeatedSeededRunsProduceIdenticalTranscripts) {
   // Same seeds, three repetitions: transcripts must be byte-identical run to
   // run — thread interleaving must never leak into the observable record.
@@ -214,7 +239,7 @@ TEST(ConcurrencyStress, ReactorWaitByIdAndErrors) {
 }
 
 TEST(ConcurrencyStress, RunFusedTilesParallelForHookIsLossless) {
-  // The core-level tile runner with a real pool behind its TileParallelFor
+  // The core-level tile runner with a real pool behind its parallel_for
   // hook must still equal the serial stack bitwise.
   const dnn::Network net = dnn::zoo::tiny_chain();
   const exec::WeightStore weights = exec::WeightStore::random_for(net, 13);

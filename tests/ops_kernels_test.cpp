@@ -6,11 +6,17 @@
 // comparison here is exact (memcmp over the raw float storage), across
 // randomized sweeps of kernel/stride/pad shapes, odd tile origins,
 // halo-boundary regions, blocked-GEMM edge sizes, arena reuse, and intra-op
-// parallel schedules.
+// parallel schedules (conv GEMM, fc GEMV, and VSM tile stacks).
 #include <cstring>
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/vsm.h"
+#include "core/vsm_executor.h"
 #include "dnn/model_zoo.h"
 #include "exec/arena.h"
 #include "exec/executor.h"
@@ -26,6 +32,12 @@ using dnn::LayerSpec;
 using dnn::Shape;
 using dnn::Tensor;
 using dnn::Window;
+
+ParallelFor hook_for(runtime::ThreadPool& pool) {
+  return [&pool](std::size_t n, const std::function<void(std::size_t)>& body) {
+    pool.parallel_for(n, body);
+  };
+}
 
 void expect_bitwise(const Tensor& got, const Tensor& want, const std::string& what) {
   ASSERT_EQ(got.shape(), want.shape()) << what;
@@ -209,6 +221,30 @@ TEST(OpsKernels, FullyConnectedMatchesReferenceBitwise) {
   }
 }
 
+TEST(OpsKernels, ParallelFullyConnectedMatchesReferenceBitwise) {
+  // Every size crosses the 1 << 20-MAC threshold, so the 4-row blocks really
+  // split across the pool: 1027 leaves its 3-row ragged tail as a task of its
+  // own, 1030 and 250 fold theirs into the last block task, and 3 rows are
+  // all tail.
+  runtime::ThreadPool pool(4);
+  const ParallelFor parallel = hook_for(pool);
+  const OpContext ctx{nullptr, &parallel};
+  util::Rng rng(21);
+  for (const auto& [out_n, in_n] : {std::pair{1024, 2048}, std::pair{1027, 4099},
+                                   std::pair{1030, 4099}, std::pair{250, 9216},
+                                   std::pair{3, 1 << 19}}) {
+    Tensor in = random_tensor(Shape{in_n, 1, 1}, rng);
+    const LayerSpec spec = LayerSpec::fully_connected("f", out_n);
+    LayerWeights w;
+    w.weights.resize(static_cast<std::size_t>(out_n) * in_n);
+    for (auto& x : w.weights) x = static_cast<float>(rng.uniform(-1, 1));
+    w.bias.resize(static_cast<std::size_t>(out_n));
+    for (auto& x : w.bias) x = static_cast<float>(rng.uniform(-1, 1));
+    expect_bitwise(fully_connected(in, spec, w, ctx), reference::fully_connected(in, spec, w),
+                   "parallel fc " + std::to_string(out_n) + "x" + std::to_string(in_n));
+  }
+}
+
 TEST(OpsKernels, FullyConnectedValidatesBiasSize) {
   Tensor in(Shape{3, 1, 1});
   const LayerSpec spec = LayerSpec::fully_connected("f", 2);
@@ -367,12 +403,43 @@ TEST(OpsKernels, IntraOpParallelExecutorIsBitwiseIdentical) {
 
   runtime::ThreadPool pool(4);
   Executor parallel(net, weights);
-  parallel.set_parallel_for(
-      [&pool](std::size_t n, const std::function<void(std::size_t)>& body) {
-        pool.parallel_for(n, body);
-      });
+  parallel.set_parallel_for(hook_for(pool));
   for (int i = 0; i < 3; ++i)
     expect_bitwise(parallel.run(input), want, "parallel executor run " + std::to_string(i));
+}
+
+TEST(OpsKernels, ParallelTileKernelsMatchSerialTilesBitwise) {
+  // Every tile's convs cross the parallelism threshold even on a 2x2 grid, so
+  // the context really splits each tile's GEMM. Serial tiles, parallel-kernel
+  // tiles, and parallel tiles with parallel kernels nested on the same pool
+  // must all equal the untiled stack.
+  const dnn::Network net = dnn::zoo::conv_stack(
+      "par-tiles", Shape{16, 32, 32},
+      {{64, Window{3, 3, 1, 1, 1, 1}}, {64, Window{3, 3, 1, 1, 1, 1}}});
+  const WeightStore weights = WeightStore::random_for(net, 23);
+  util::Rng rng(24);
+  const Tensor input = random_tensor(net.input_shape(), rng);
+  const std::vector<dnn::LayerId> stack = {0, 1};
+  const Tensor want = core::run_stack_serial(net, weights, input, stack);
+
+  runtime::ThreadPool pool(4);
+  const ParallelFor parallel = hook_for(pool);
+  const OpContext ctx{nullptr, &parallel};
+  for (const auto& [rows, cols] : {std::pair{1, 2}, std::pair{2, 2}}) {
+    const std::string grid = std::to_string(rows) + "x" + std::to_string(cols);
+    const core::FusedTilePlan plan = core::make_fused_tile_plan(net, stack, rows, cols);
+    for (std::size_t t = 0; t < plan.num_tiles(); ++t) {
+      const Tile tile_in = core::extract_tile_input(input, plan, t);
+      expect_bitwise(core::run_single_tile(net, weights, tile_in, plan, t, ctx).data,
+                     core::run_single_tile(net, weights, tile_in, plan, t).data,
+                     grid + " tile " + std::to_string(t));
+    }
+    expect_bitwise(core::run_fused_tiles(net, weights, input, plan), want, grid + " serial");
+    expect_bitwise(core::run_fused_tiles(net, weights, input, plan, {}, ctx), want,
+                   grid + " parallel kernels");
+    expect_bitwise(core::run_fused_tiles(net, weights, input, plan, parallel, ctx), want,
+                   grid + " parallel tiles and kernels");
+  }
 }
 
 }  // namespace

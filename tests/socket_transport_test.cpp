@@ -149,6 +149,77 @@ struct ChainVsmCase {
   }
 };
 
+// The wide-chain three-tier plan: conv1+relu1 on the device, conv2..pool1 on
+// the edge (a VSM stack when `grid` is set), the fc tail in the cloud. Its
+// convs and fc1 cross the kernels' intra-op parallelism threshold, so each
+// worker verb splits real GEMM/GEMV tasks across the worker's compute pool.
+struct WideChainCase {
+  dnn::Network net = dnn::zoo::wide_chain();
+  exec::WeightStore weights = exec::WeightStore::random_for(net, 41);
+  core::Assignment assignment;
+  std::optional<core::FusedTilePlan> vsm;
+  core::SerializablePlan plan;
+  dnn::Tensor frame;
+  dnn::Tensor reference;
+
+  explicit WideChainCase(std::optional<std::pair<int, int>> grid) {
+    assignment.tier.assign(net.num_layers() + 1, core::Tier::kCloud);
+    assignment.tier[0] = core::Tier::kDevice;
+    for (const dnn::LayerId id : {0, 1})
+      assignment.tier[dnn::Network::vertex_of(id)] = core::Tier::kDevice;
+    const std::vector<dnn::LayerId> edge_layers = {2, 3, 4};
+    for (const dnn::LayerId id : edge_layers)
+      assignment.tier[dnn::Network::vertex_of(id)] = core::Tier::kEdge;
+    if (grid) vsm = core::make_fused_tile_plan(net, edge_layers, grid->first, grid->second);
+    plan = core::SerializablePlan{net.name(), assignment, vsm};
+    util::Rng rng(42);
+    frame = exec::random_tensor(net.input_shape(), rng);
+    reference = exec::Executor(net, weights).run(frame);
+  }
+
+  // Runs `frame` through an engine over `transport` and checks it against the
+  // Executor reference and the in-process engine's transcript.
+  void expect_lossless(const std::shared_ptr<rpc::SocketTransport>& transport,
+                       std::size_t engine_vsm_workers) const {
+    OnlineEngine::Options options;
+    options.transport = transport;
+    options.vsm_workers = engine_vsm_workers;
+    const OnlineEngine engine(net, weights, assignment, vsm, options);
+    const InferenceResult distributed = engine.infer(frame);
+    expect_identical(distributed.output, reference);
+    expect_same_transcript(distributed,
+                           OnlineEngine(net, weights, assignment, vsm).infer(frame));
+  }
+};
+
+TEST(SocketTransport, WorkerRunLayerSplitsKernelsOnItsPool) {
+  const WideChainCase c(std::nullopt);
+  Cluster cluster(c.net, c.weights, c.plan, /*vsm_workers=*/0);
+  c.expect_lossless(cluster.transport, 0);
+}
+
+TEST(SocketTransport, WorkerRunStackSplitsKernelsOnItsPool) {
+  // vsm_workers=0: tiles in order, kernels parallel; vsm_workers=2: the tiles
+  // also run concurrently, nesting the kernels' parallel_for on the same pool.
+  for (const std::size_t vsm_workers : {0u, 2u}) {
+    const WideChainCase c(std::pair{2, 2});
+    Cluster cluster(c.net, c.weights, c.plan, vsm_workers);
+    c.expect_lossless(cluster.transport, 0);
+  }
+}
+
+TEST(SocketTransport, WorkerRunTileSplitsKernelsOnItsPool) {
+  const WideChainCase c(std::pair{1, 2});
+  Cluster cluster;
+  cluster.attach("device0");
+  cluster.attach("cloud0");
+  cluster.attach_tile_worker(0);
+  cluster.attach_tile_worker(1);
+  cluster.configure(c.net, c.weights, c.plan, /*vsm_workers=*/0);
+  ASSERT_EQ(cluster.transport->tile_worker_count(), 2u);
+  c.expect_lossless(cluster.transport, /*engine_vsm_workers=*/2);
+}
+
 TEST(SocketTransport, TinyChainVsmEndToEndAcrossThreeProcesses) {
   const dnn::Network net = dnn::zoo::tiny_chain();
   const exec::WeightStore weights = exec::WeightStore::random_for(net, 5);

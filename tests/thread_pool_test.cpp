@@ -1,7 +1,11 @@
 // Unit tests of the runtime worker pool: full coverage of every index, safety
 // under concurrent parallel_for callers (concurrent infer() calls sharing the
-// engine's pool), no deadlock on a single-thread pool, and exception
-// propagation.
+// engine's pool), no deadlock on a single-thread pool, exception
+// propagation, and a hardware width that honours CPU affinity.
+#include <sched.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
@@ -94,6 +98,31 @@ TEST(ThreadPool, SubmitDrainsBeforeDestruction) {
 
 TEST(ThreadPool, HardwareThreadsIsPositive) {
   EXPECT_GE(ThreadPool::hardware_threads(), 1u);
+}
+
+TEST(ThreadPool, HardwareThreadsFollowsCpuAffinity) {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(mask), &mask), 0);
+  EXPECT_EQ(ThreadPool::hardware_threads(), static_cast<std::size_t>(CPU_COUNT(&mask)));
+  int first = 0;  // CPU 0 unless a cpuset excludes it
+  while (first < CPU_SETSIZE && !CPU_ISSET(first, &mask)) ++first;
+  ASSERT_LT(first, CPU_SETSIZE);
+
+  // A child pinned to one CPU (like a taskset-pinned worker) sizes for one.
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(first, &one);
+    if (sched_setaffinity(0, sizeof(one), &one) != 0) _exit(2);
+    _exit(ThreadPool::hardware_threads() == 1 ? 0 : 1);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0) << "2: sched_setaffinity failed, 1: wrong width";
 }
 
 }  // namespace
